@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Seeded fast-vs-compat engine identity fuzz.
+"""Seeded wheel-vs-heap event-queue identity fuzz.
 
 Each round draws a random cell from the feature grid -- workload,
 protocol, leases, fault spec, core count, op count -- and runs it twice:
-once on the fast engine (time wheel + batch-stepped cores) and once on
-the compat engine (heap event queue, one event per instruction).  The
-two runs must agree *bit for bit*: field-for-field identical
-``RunResult``, same ``events_processed``, same final cycle.
+once with no schedule strategy (the time wheel) and once under the base
+``ScheduleStrategy`` (the heap event queue, every priority 0).  The two
+runs must agree *bit for bit*: field-for-field identical ``RunResult``,
+same ``events_processed``, same final cycle.
 
 On a divergence the two RunResults (plus the cell needed to reproduce
 it) are dumped under ``--artifact-dir`` for CI to upload, and the script
@@ -28,6 +28,7 @@ from dataclasses import replace
 from repro.config import MachineConfig
 from repro.core.isa import Store, Work
 from repro.core.machine import Machine
+from repro.engine import ScheduleStrategy
 from repro.structures import LockedCounter, MichaelScottQueue, TreiberStack
 
 FAULT_SPECS = (
@@ -38,15 +39,14 @@ FAULT_SPECS = (
 )
 
 
-def build_machine(cell: dict, engine: str) -> Machine:
+def build_machine(cell: dict, heap: bool) -> Machine:
     cfg = MachineConfig(num_cores=cell["threads"],
                         protocol=cell["protocol"],
                         fault_spec=cell["faults"],
-                        seed=cell["machine_seed"],
-                        engine=engine)
+                        seed=cell["machine_seed"])
     if cell["leases"]:
         cfg = replace(cfg, lease=replace(cfg.lease, enabled=True))
-    m = Machine(cfg)
+    m = Machine(cfg, schedule_strategy=ScheduleStrategy() if heap else None)
     if cell["workload"] == "treiber":
         s = TreiberStack(m)
         s.prefill(range(16))
@@ -89,25 +89,25 @@ def draw_cell(rng: random.Random) -> dict:
 
 
 def run_round(i: int, cell: dict, artifact_dir: str) -> bool:
-    mf = build_machine(cell, "fast")
-    mc = build_machine(cell, "compat")
-    mf.run()
-    mc.run()
-    rf = dataclasses.asdict(mf.result("identity"))
-    rc = dataclasses.asdict(mc.result("identity"))
-    ok = (rf == rc
-          and mf.sim.events_processed == mc.sim.events_processed
-          and mf.sim.now == mc.sim.now)
+    mw = build_machine(cell, heap=False)
+    mh = build_machine(cell, heap=True)
+    mw.run()
+    mh.run()
+    rw = dataclasses.asdict(mw.result("identity"))
+    rh = dataclasses.asdict(mh.result("identity"))
+    ok = (rw == rh
+          and mw.sim.events_processed == mh.sim.events_processed
+          and mw.sim.now == mh.sim.now)
     if not ok:
         path = os.path.join(artifact_dir, f"engine-identity-{i}.json")
         with open(path, "w") as f:
             json.dump({"cell": cell,
-                       "fast": {"result": rf,
-                                "events": mf.sim.events_processed,
-                                "now": mf.sim.now},
-                       "compat": {"result": rc,
-                                  "events": mc.sim.events_processed,
-                                  "now": mc.sim.now}},
+                       "wheel": {"result": rw,
+                                 "events": mw.sim.events_processed,
+                                 "now": mw.sim.now},
+                       "heap": {"result": rh,
+                                "events": mh.sim.events_processed,
+                                "now": mh.sim.now}},
                       f, indent=2, sort_keys=True, default=str)
         print(f"DIVERGENCE round {i}: {cell} (dump: {path})",
               file=sys.stderr)

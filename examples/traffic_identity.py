@@ -5,11 +5,11 @@ Each round draws a random cell -- workload, arrival process, key
 distribution, tenants, queue depth, thread count, faults -- and checks
 the determinism contract of :mod:`repro.traffic` three ways:
 
-1. **Engine identity**: the cell runs once on the fast engine and once
-   on the compat engine; the full ``RunResult`` including the latency
-   histogram (``latency["hist"]``), admitted and shed counts must be
-   bit-identical.
-2. **Checkpoint/restore identity**: the fast run is cut mid-flight with
+1. **Queue identity**: the cell runs once on the time wheel (no schedule
+   strategy) and once on the heap (the base ``ScheduleStrategy``); the
+   full ``RunResult`` including the latency histogram
+   (``latency["hist"]``), admitted and shed counts must be bit-identical.
+2. **Checkpoint/restore identity**: the wheel run is cut mid-flight with
    a ``state_dict`` -> JSON -> ``load_state`` roundtrip into a fresh
    machine; the restored run must reproduce the same histogram.
 3. **Serial vs ``--jobs`` identity** (once per invocation): a two-cell
@@ -34,6 +34,7 @@ from dataclasses import replace
 
 from repro.config import MachineConfig
 from repro.core.machine import Machine
+from repro.engine import ScheduleStrategy
 from repro.structures import LockedCounter, TreiberStack
 from repro.traffic import (TrafficSource, traffic_counter_worker,
                            traffic_stack_worker)
@@ -74,20 +75,21 @@ def draw_cell(rng: random.Random) -> dict:
     }
 
 
-def run_cell(cell: dict, engine: str):
+def run_cell(cell: dict, heap: bool = False):
     cfg = MachineConfig(fault_spec=cell["faults"],
-                        seed=cell["machine_seed"], engine=engine)
+                        seed=cell["machine_seed"])
+    schedule = ScheduleStrategy() if heap else None
     spec = cell["traffic"] + f",ops={cell['ops']}"
     if cell["workload"] == "treiber":
         return bench_stack(cell["threads"],
                            variant="lease" if cell["leases"] else "base",
-                           traffic=spec, config=cfg)
+                           traffic=spec, config=cfg, schedule=schedule)
     if cell["workload"] == "skiplist":
         return bench_skiplist(cell["threads"], key_range=64,
                               use_lease=cell["leases"], traffic=spec,
-                              config=cfg)
+                              config=cfg, schedule=schedule)
     return bench_counter(cell["threads"], use_lease=cell["leases"],
-                         traffic=spec, config=cfg)
+                         traffic=spec, config=cfg, schedule=schedule)
 
 
 def build_direct(cell: dict) -> tuple[Machine, TrafficSource]:
@@ -95,7 +97,7 @@ def build_direct(cell: dict) -> tuple[Machine, TrafficSource]:
     needs a mid-run cut, which the driver benches don't expose)."""
     cfg = MachineConfig(num_cores=cell["threads"],
                         fault_spec=cell["faults"],
-                        seed=cell["machine_seed"], engine="fast")
+                        seed=cell["machine_seed"])
     if cell["leases"]:
         cfg = replace(cfg, lease=replace(cfg.lease, enabled=True))
     m = Machine(cfg)
@@ -123,12 +125,12 @@ def dump(artifact_dir: str, name: str, payload: dict) -> str:
 
 
 def run_round(i: int, cell: dict, artifact_dir: str) -> bool:
-    rf = dataclasses.asdict(run_cell(cell, "fast"))
-    rc = dataclasses.asdict(run_cell(cell, "compat"))
-    if rf != rc:
+    rw = dataclasses.asdict(run_cell(cell))
+    rh = dataclasses.asdict(run_cell(cell, heap=True))
+    if rw != rh:
         path = dump(artifact_dir, f"traffic-identity-{i}-engine.json",
-                    {"cell": cell, "fast": rf, "compat": rc})
-        print(f"ENGINE DIVERGENCE round {i}: {cell} (dump: {path})",
+                    {"cell": cell, "wheel": rw, "heap": rh})
+        print(f"QUEUE DIVERGENCE round {i}: {cell} (dump: {path})",
               file=sys.stderr)
         return False
     if cell["workload"] == "skiplist":

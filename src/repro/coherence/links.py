@@ -388,10 +388,7 @@ class LinkedNetwork(MeshNetwork):
     memory port (see :meth:`grant_delivery`).
 
     ``_pending`` counts messages somewhere inside the network (queued, in
-    service, or between resources); the core batch-fold gate treats a
-    non-zero value like a pending probe, exactly as it must: folding past
-    a queued message could commit an instruction that the message's
-    delivery would have interposed on.
+    service, or between resources); it is checkpointed with the links.
     """
 
     contended = True

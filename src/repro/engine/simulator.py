@@ -1,19 +1,17 @@
 """Simulation clock and run loop.
 
-Two tiers share one clock contract:
+The event queue follows the schedule strategy; there is no other choice:
 
-* ``engine="compat"`` -- the classic heap-backed
-  :class:`~repro.engine.event_queue.EventQueue` and the original
-  event-at-a-time loop.  Required whenever a
-  :class:`~repro.engine.event_queue.ScheduleStrategy` is installed (the
-  strategy perturbs same-timestamp order via priorities, which the wheel
-  does not model).
-* ``engine="fast"`` -- a bucketed :class:`~repro.engine.wheel.TimeWheel`
-  plus an inlined run loop that drains whole same-cycle buckets without
-  per-event heap traffic or per-event quiescence polls.  Produces
-  bit-identical schedules: with no strategy every priority is 0, so the
-  deterministic order is exactly ``(time, seq)`` -- which is precisely
-  bucket order.
+* no strategy -- a bucketed :class:`~repro.engine.wheel.TimeWheel` drained
+  by :meth:`Simulator._run_fast`, an inlined loop over whole same-cycle
+  buckets without per-event heap traffic.  With no strategy every
+  priority is 0, so the deterministic order is exactly ``(time, seq)`` --
+  which is precisely bucket order.
+* a :class:`~repro.engine.event_queue.ScheduleStrategy` -- the heap-backed
+  :class:`~repro.engine.event_queue.EventQueue` and the event-at-a-time
+  loop, since the strategy perturbs same-timestamp order via priorities,
+  which the wheel does not model.  The base ``ScheduleStrategy`` gives
+  every event priority 0, so it runs the wheel's schedule on the heap.
 
 Quiescence is *polled* by default (the predicate runs before every event,
 as it always did) so bare simulators with ad-hoc ``quiescent`` lambdas keep
@@ -47,28 +45,21 @@ class Simulator:
     ``strategy`` installs a schedule-perturbation
     :class:`~repro.engine.event_queue.ScheduleStrategy` that reorders
     same-timestamp events (used by :mod:`repro.check` to explore
-    interleavings) and transparently forces the compat engine; the default
-    ``None`` keeps the classic deterministic ``(time, seq)`` order
-    bit-for-bit on either engine.
+    interleavings) on the heap queue; the default ``None`` keeps the
+    classic deterministic ``(time, seq)`` order on the time wheel.
     """
 
     __slots__ = ("queue", "now", "rng", "max_cycles", "max_events",
-                 "events_processed", "quiescent", "engine", "_running",
+                 "events_processed", "quiescent", "_running",
                  "_poll_quiescence", "quiesce_dirty")
 
     def __init__(self, *, seed: int = 1,
                  max_cycles: int = 2_000_000_000,
                  max_events: int = 200_000_000,
-                 strategy: ScheduleStrategy | None = None,
-                 engine: str = "compat") -> None:
-        if engine not in ("fast", "compat"):
-            raise SimulationError(
-                f"unknown engine {engine!r} (expected 'fast' or 'compat')")
-        if strategy is not None:
-            # A perturbation strategy needs the priority-aware heap.
-            engine = "compat"
-        self.engine = engine
-        self.queue = TimeWheel() if engine == "fast" else EventQueue(strategy)
+                 strategy: ScheduleStrategy | None = None) -> None:
+        # A perturbation strategy needs the priority-aware heap.
+        self.queue = (TimeWheel() if strategy is None
+                      else EventQueue(strategy))
         self.now: int = 0
         self.rng = random.Random(seed)
         self.max_cycles = max_cycles
@@ -146,7 +137,7 @@ class Simulator:
         quiescence, or when the queue drains with no horizon, the clock
         stays at the last processed event's time.
         """
-        if self.engine == "fast":
+        if type(self.queue) is TimeWheel:
             return self._run_fast(until)
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
@@ -190,9 +181,9 @@ class Simulator:
             self._running = False
 
     def _run_fast(self, until: int | None = None) -> int:
-        """The inlined fast-engine loop over the time-wheel's buckets.
+        """The inlined loop over the time-wheel's buckets.
 
-        Event-for-event equivalent to the compat loop above: same stop
+        Event-for-event equivalent to the heap loop above: same stop
         conditions evaluated in the same order, same budget-exception
         payloads, same clock rule.  The wins are structural -- no heap
         traffic, no per-event ``pop()``/``peek_time()`` calls, quiescence
@@ -211,9 +202,6 @@ class Simulator:
         max_cycles = self.max_cycles
         max_events = self.max_events
         has_until = until is not None
-        # ``events_processed`` stays authoritative on self throughout: a
-        # batch-advancing core accounts its elided resume events there
-        # mid-handler (see Core._advance_batch).
         consumed = 0
         # The current draining bucket, cached across events.  Handlers can
         # only schedule at >= now == t, so ``t`` stays the minimum time
@@ -258,7 +246,7 @@ class Simulator:
                         break
                     del buckets[heappop(times)]
                 else:
-                    # Drained: same clock rule as the compat loop.
+                    # Drained: same clock rule as the heap loop.
                     if has_until and until > self.now:
                         self.now = until
                     return self.now

@@ -1,4 +1,4 @@
-"""A bucketed time-wheel: the fast engine's event queue.
+"""A bucketed time-wheel: the event queue of strategy-free runs.
 
 Drop-in replacement for :class:`~repro.engine.event_queue.EventQueue` when
 no :class:`~repro.engine.event_queue.ScheduleStrategy` is installed (every
@@ -41,7 +41,7 @@ class TimeWheel:
     Implements the full :class:`EventQueue` interface (schedule / cancel /
     pop / peek_time / state_dict / load_state / len / heap_size) with the
     identical canonical checkpoint format, so checkpoints round-trip
-    between the two engines.  ``strategy`` is always ``None``.
+    between the two queues.  ``strategy`` is always ``None``.
     """
 
     __slots__ = ("_buckets", "_times", "_seq", "_live", "strategy")

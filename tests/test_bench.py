@@ -14,7 +14,7 @@ FAST = "event_queue"
 RECORD_KEYS = {
     "bench_format", "name", "title", "quick", "repeats", "wall_seconds",
     "ops", "ops_per_sec", "events", "events_per_sec", "peak_heap_bytes",
-    "calibration_ops_per_sec", "score", "fault_spec", "seed", "engine",
+    "calibration_ops_per_sec", "score", "fault_spec", "seed",
     "extra", "machine",
 }
 

@@ -259,6 +259,33 @@ def test_check_injected_bug_exit_code_and_replay(tmp_path, monkeypatch,
     assert "reproduced the failure" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name,kind", [
+    ("legacy_repro_check.json", "linearizability"),
+    ("legacy_repro_cluster.json", "property"),
+])
+def test_check_replay_legacy_engine_field(name, kind, capsys):
+    """Repro files written by older builds carry an ``"engine"`` key;
+    replay ignores it and reaches the recorded verdict."""
+    import json
+    import pathlib
+
+    path = pathlib.Path(__file__).parent / "data" / name
+    assert json.loads(path.read_text())["engine"] == "compat"
+    assert main(["check", "replay", str(path)]) == 0
+    assert f"reproduced the failure: [{kind}]" in capsys.readouterr().out
+
+
+def test_run_rejects_engine_flag(capsys):
+    """The run loop has no engine choice: ``--engine`` is an unknown
+    argument, reported once by argparse with exit status 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "fig2_stack", "--threads", "2", "--engine", "compat"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "unrecognized arguments: --engine compat" in err
+
+
 # -- --metric validation ------------------------------------------------------
 
 def test_run_accepts_any_runresult_metric(capsys):

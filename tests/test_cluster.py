@@ -1,5 +1,5 @@
 """The cluster layer (``repro.cluster``): config/spec validation, the
-PaxosLease negotiation, workload correctness, determinism, engine
+PaxosLease negotiation, workload correctness, determinism, wheel-vs-heap
 bit-identity, trace events, and the CLI surface."""
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from repro.cluster import (Cluster, ClusterConfig, bench_cluster,
                            build_cluster, node_seed, parse_cluster_spec,
                            verify_cluster_counters)
 from repro.config import MachineConfig
+from repro.engine import ScheduleStrategy
 from repro.errors import ConfigError, SimulationError
 from repro.trace.bus import Tracer
 from repro.trace.events import (ClusterLeaseAcquired, ClusterLeaseReleased,
@@ -23,9 +24,8 @@ FAULTY_SPEC = ("loss:p=0.1;dup:p=0.05;partition:p=0.05,len=2000,check=400;"
                "skew:40;delay:min=60,max=160")
 
 
-def _mc(threads: int = 2, engine: str = "fast",
-        seed: int = 1) -> MachineConfig:
-    cfg = MachineConfig(num_cores=threads, seed=seed, engine=engine)
+def _mc(threads: int = 2, seed: int = 1) -> MachineConfig:
+    cfg = MachineConfig(num_cores=threads, seed=seed)
     return replace(cfg, lease=replace(cfg.lease, enabled=True))
 
 
@@ -160,7 +160,7 @@ def test_verify_cluster_counters_catches_tampering():
         verify_cluster_counters(cluster, info)
 
 
-# -- determinism + engines ----------------------------------------------------
+# -- determinism + event queues -----------------------------------------------
 
 def _result_dict(res):
     return dataclasses.asdict(res)
@@ -188,13 +188,14 @@ def test_different_seed_different_schedule():
 
 @pytest.mark.parametrize("structure", ["counter", "treiber"])
 def test_fast_and_compat_engines_bit_identical(structure):
-    results = {}
-    for engine in ("fast", "compat"):
-        results[engine] = bench_cluster(
-            2, structure=structure, nodes=3, objects=2, ops_per_thread=5,
-            cluster_spec=FAULTY_SPEC, lease_cycles=4_000,
-            renew_margin=1_000, config=_mc(engine=engine))
-    assert _result_dict(results["fast"]) == _result_dict(results["compat"])
+    """The time wheel (no strategy) and the heap (the base
+    ``ScheduleStrategy``) run the same cluster schedule."""
+    results = [bench_cluster(
+        2, structure=structure, nodes=3, objects=2, ops_per_thread=5,
+        cluster_spec=FAULTY_SPEC, lease_cycles=4_000,
+        renew_margin=1_000, config=_mc(), schedule=schedule)
+        for schedule in (None, ScheduleStrategy())]
+    assert _result_dict(results[0]) == _result_dict(results[1])
 
 
 # -- trace events + counters --------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 from repro.cluster import ClusterConfig, build_cluster
 from repro.config import MachineConfig
+from repro.engine import ScheduleStrategy
 from repro.errors import (CheckpointError, CheckpointMismatch,
                           SimulationError)
 
@@ -19,17 +20,17 @@ FAULTY_SPEC = ("loss:p=0.1;dup:p=0.05;partition:p=0.05,len=2000,check=400;"
                "skew:40;delay:min=60,max=160")
 
 
-def _ccfg(nodes: int = 3, engine: str = "fast",
-          spec: str = FAULTY_SPEC) -> ClusterConfig:
-    mc = MachineConfig(num_cores=2, seed=11, engine=engine)
+def _ccfg(nodes: int = 3, spec: str = FAULTY_SPEC) -> ClusterConfig:
+    mc = MachineConfig(num_cores=2, seed=11)
     mc = replace(mc, lease=replace(mc.lease, enabled=True))
     return ClusterConfig(nodes=nodes, objects=2, machine=mc,
                          lease_cycles=4_000, renew_margin=1_000,
                          cluster_spec=spec)
 
 
-def _build(ccfg, structure: str = "counter"):
-    return build_cluster(ccfg, structure=structure, ops_per_thread=5)
+def _build(ccfg, structure: str = "counter", schedule=None):
+    return build_cluster(ccfg, structure=structure, ops_per_thread=5,
+                         schedule=schedule)
 
 
 def _final(cluster) -> dict:
@@ -60,16 +61,17 @@ def test_roundtrip_bit_identical(structure, cut):
 
 
 def test_roundtrip_compat_engine():
-    ref, _ = _build(_ccfg(engine="compat"))
+    """The same roundtrip on the heap queue (the base strategy)."""
+    ref, _ = _build(_ccfg(), schedule=ScheduleStrategy())
     ref.run()
     expected = _final(ref)
 
-    a, _ = _build(_ccfg(engine="compat"))
+    a, _ = _build(_ccfg(), schedule=ScheduleStrategy())
     a.enable_checkpointing()
     a.run(until=800)
     blob = json.dumps(a.state_dict())
 
-    b, _ = _build(_ccfg(engine="compat"))
+    b, _ = _build(_ccfg(), schedule=ScheduleStrategy())
     b.load_state(json.loads(blob))
     b.run()
     assert _final(b) == expected

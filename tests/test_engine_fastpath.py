@@ -1,8 +1,12 @@
-"""Two-tier engine equivalence: the fast engine (time-wheel + batch
-advance) must produce *bit-identical* results to the compat engine on
-every workload, protocol, lease/fault setting and core count -- plus the
-TimeWheel's own queue semantics, the quiescence notify-mode timing, and
-the transparent fallbacks (schedule strategy, non-folding sinks).
+"""Wheel-vs-heap identity: a machine with no schedule strategy runs on the
+:class:`TimeWheel`, and one with the base :class:`ScheduleStrategy` (every
+priority 0, i.e. the classic ``(time, seq)`` order) runs on the heap
+:class:`EventQueue`.  Both must produce *bit-identical* results on every
+workload, protocol, lease/fault setting and core count -- plus the
+TimeWheel's own queue semantics and the quiescence notify-mode timing.
+
+Test names predate the single run loop: "fast" is the wheel arm and
+"compat" the heap arm.
 """
 
 from __future__ import annotations
@@ -14,9 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.check.perturb import RandomStrategy
 from repro.config import MachineConfig
-from repro.core.isa import Store, Work
+from repro.core.isa import Store
 from repro.core.machine import Machine
-from repro.engine.event_queue import EventQueue
+from repro.engine.event_queue import EventQueue, ScheduleStrategy
 from repro.engine.wheel import TimeWheel
 from repro.errors import SimulationError
 from repro.state.checkpoint import build_document, restore_checkpoint
@@ -25,17 +29,22 @@ from repro.trace import RingBufferTracer
 from repro.workloads.driver import bench_stack
 
 
-def _config(engine: str, *, cores: int = 4, protocol: str = "msi",
-            leases: bool = False, faults: str = "", seed: int = 1,
-            ) -> MachineConfig:
+def _config(*, cores: int = 4, protocol: str = "msi", leases: bool = False,
+            faults: str = "", seed: int = 1) -> MachineConfig:
     cfg = MachineConfig(num_cores=cores, protocol=protocol,
-                        fault_spec=faults, seed=seed, engine=engine)
+                        fault_spec=faults, seed=seed)
     return replace(cfg, lease=replace(cfg.lease, enabled=leases))
 
 
-def _storm(cfg: MachineConfig, rounds: int = 12):
+def _machine(cfg: MachineConfig, heap: bool) -> Machine:
+    """The wheel arm, or the heap arm under the base strategy."""
+    return Machine(cfg, schedule_strategy=ScheduleStrategy() if heap
+                   else None)
+
+
+def _storm(cfg: MachineConfig, heap: bool = False, rounds: int = 12):
     """Every core stores to one line: the densest invalidation traffic."""
-    m = Machine(cfg)
+    m = _machine(cfg, heap)
     addr = m.alloc_var(0, label="test.storm")
 
     def body(ctx):
@@ -48,8 +57,8 @@ def _storm(cfg: MachineConfig, rounds: int = 12):
     return m
 
 
-def _treiber(cfg: MachineConfig, ops: int = 10):
-    m = Machine(cfg)
+def _treiber(cfg: MachineConfig, heap: bool = False, ops: int = 10):
+    m = _machine(cfg, heap)
     s = TreiberStack(m)
     s.prefill(range(16))
     for _ in range(cfg.num_cores):
@@ -58,20 +67,20 @@ def _treiber(cfg: MachineConfig, ops: int = 10):
 
 
 def _run_pair(build, **cfg_kw):
-    """Build and run the same workload on both engines; returns both
+    """Build and run the same workload on both queues; returns both
     machines after asserting the RunResults and event counts match."""
-    mf = build(_config("fast", **cfg_kw))
-    mc = build(_config("compat", **cfg_kw))
-    mf.run()
-    mc.run()
-    assert mf.result("x") == mc.result("x")
-    assert mf.sim.events_processed == mc.sim.events_processed
-    assert mf.sim.now == mc.sim.now
-    return mf, mc
+    mw = build(_config(**cfg_kw), False)
+    mh = build(_config(**cfg_kw), True)
+    mw.run()
+    mh.run()
+    assert mw.result("x") == mh.result("x")
+    assert mw.sim.events_processed == mh.sim.events_processed
+    assert mw.sim.now == mh.sim.now
+    return mw, mh
 
 
 # ---------------------------------------------------------------------------
-# Property: fast == compat over the full feature grid
+# Property: wheel == heap over the full feature grid
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=25, deadline=None)
@@ -95,12 +104,28 @@ def test_property_engines_bit_identical(cores, protocol, leases, faults,
     protocol=st.sampled_from(["msi", "mesi"]),
 )
 def test_property_storm_bit_identical(cores, rounds, protocol):
-    _run_pair(lambda cfg: _storm(cfg, rounds), cores=cores,
+    _run_pair(lambda cfg, heap: _storm(cfg, heap, rounds), cores=cores,
               protocol=protocol)
 
 
+def test_trace_streams_identical_across_queues():
+    """A RingBufferTracer records the exact emit stream, so the two queues
+    can be compared event-for-event, not only by their totals."""
+    ring_w = RingBufferTracer(capacity=100_000)
+    ring_h = RingBufferTracer(capacity=100_000)
+    mw = _treiber(_config(), heap=False)
+    mw.attach_tracer(ring_w)
+    mh = _treiber(_config(), heap=True)
+    mh.attach_tracer(ring_h)
+    mw.run()
+    mh.run()
+    assert ([e.to_dict() for e in ring_w.events()]
+            == [e.to_dict() for e in ring_h.events()])
+    assert mw.result("x") == mh.result("x")
+
+
 # ---------------------------------------------------------------------------
-# Checkpoint: save mid-run on one engine, restore on the other
+# Checkpoint: save mid-run on one queue, restore on the other
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=8, deadline=None)
@@ -110,46 +135,59 @@ def test_property_storm_bit_identical(cores, rounds, protocol):
     protocol=st.sampled_from(["msi", "mesi"]),
 )
 def test_property_checkpoint_mid_run_cross_engine(cut, leases, protocol):
-    """Running to an arbitrary mid-run cycle, checkpointing, and resuming
-    on the *other* engine lands on the same final result as an unbroken
-    compat run (checkpoints only exist between events, so a batch is
-    never split -- its elided prefix is part of the replay log)."""
-    whole = _treiber(_config("compat", leases=leases, protocol=protocol))
+    """Running the wheel to an arbitrary mid-run cycle, checkpointing, and
+    resuming on the heap lands on the same final result as an unbroken
+    heap run."""
+    cfg = _config(leases=leases, protocol=protocol)
+    whole = _treiber(cfg, heap=True)
     whole.run()
     want = whole.result("x")
 
-    m1 = _treiber(_config("fast", leases=leases, protocol=protocol))
+    m1 = _treiber(cfg, heap=False)
     m1.enable_checkpointing()
     m1.run(until=cut)
     doc = build_document(m1)
 
-    m2 = _treiber(_config("compat", leases=leases, protocol=protocol))
+    m2 = _treiber(cfg, heap=True)
     restore_checkpoint(m2, doc)
     m2.run()
     assert m2.result("x") == want
     assert m2.sim.events_processed == whole.sim.events_processed
 
 
+def test_checkpoint_with_legacy_pending_retire_slot_loads():
+    """Core state written when cores kept a ``pending_retire`` slot still
+    restores: the key is ignored."""
+    whole = _treiber(_config())
+    whole.run()
+
+    m1 = _treiber(_config())
+    m1.enable_checkpointing()
+    m1.run(until=200)
+    state = m1.state_dict()
+    for core_state in state["cores"]:
+        assert "pending_retire" not in core_state
+        core_state["pending_retire"] = None
+
+    m2 = _treiber(_config())
+    m2.load_state(state)
+    m2.run()
+    assert m2.result("x") == whole.result("x")
+
+
 # ---------------------------------------------------------------------------
-# Regression: deferred probe at a miss completion must stop the fold
+# Deferred probe at a miss completion
 # ---------------------------------------------------------------------------
 
 def test_deferred_probe_blocks_batch_fold():
     """Two cores storming one line defers a probe behind nearly every data
-    arrival; the commit callback runs *before* the probe is applied, so
-    the batch path must not fold the following instructions against the
-    stale L1 state (found as a live divergence: the fast engine retired a
-    whole store run that compat correctly missed)."""
-    mf, mc = _run_pair(lambda cfg: _storm(cfg, rounds=3), cores=2)
-    # The workload must actually exercise a deferral for the regression
-    # to mean anything.
-    assert mf.counters.probes_deferred_mid_access > 0
-
-
-def test_probe_pending_flag_resets():
-    m = _storm(_config("fast", cores=2), rounds=3)
-    m.run()
-    assert all(not c.memunit._probe_pending for c in m.cores)
+    arrival; the probe is applied right after the commit callback, before
+    the core's next instruction issues, on both queues alike."""
+    mw, _ = _run_pair(lambda cfg, heap: _storm(cfg, heap, rounds=3),
+                      cores=2)
+    # The workload must actually exercise a deferral for the identity to
+    # mean anything.
+    assert mw.counters.probes_deferred_mid_access > 0
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +197,11 @@ def test_probe_pending_flag_resets():
 @pytest.mark.parametrize("engine", ["fast", "compat"])
 def test_quiescence_notify_matches_polling(engine):
     """A machine (notify mode) and a hand-polled simulator running the
-    same schedule stop at the same cycle with the same event count."""
-    m_notify = _storm(_config(engine, cores=3), rounds=5)
-    m_poll = _storm(_config(engine, cores=3), rounds=5)
+    same schedule stop at the same cycle with the same event count, on
+    the wheel ("fast") and on the heap ("compat")."""
+    heap = engine == "compat"
+    m_notify = _storm(_config(cores=3), heap, rounds=5)
+    m_poll = _storm(_config(cores=3), heap, rounds=5)
     # Forcing the poll-mode default back on must not change the outcome,
     # only the number of predicate evaluations.
     m_poll.sim._poll_quiescence = True
@@ -173,51 +213,25 @@ def test_quiescence_notify_matches_polling(engine):
 
 
 def test_machine_uses_notify_mode():
-    m = _storm(_config("fast"), rounds=2)
+    m = _storm(_config(), rounds=2)
     assert m.sim._poll_quiescence is False
     m.run()
     assert m.idle_cores == m.config.num_cores
 
 
 # ---------------------------------------------------------------------------
-# Fallbacks: strategies and non-folding sinks
+# The queue follows the strategy
 # ---------------------------------------------------------------------------
 
 def test_strategy_forces_compat_engine():
-    cfg = _config("fast")
-    m = Machine(cfg, schedule_strategy=RandomStrategy(3))
-    assert m.engine == "compat"
-    assert isinstance(m.sim.queue, EventQueue)
+    for strategy in (ScheduleStrategy(), RandomStrategy(3)):
+        m = Machine(_config(), schedule_strategy=strategy)
+        assert isinstance(m.sim.queue, EventQueue)
 
 
 def test_fast_engine_uses_wheel():
-    m = Machine(_config("fast"))
-    assert m.engine == "fast"
+    m = Machine(_config())
     assert isinstance(m.sim.queue, TimeWheel)
-
-
-def test_non_folding_sink_disables_batching_but_keeps_identity():
-    """A RingBufferTracer records the exact emit stream, so it both (a)
-    turns batching off and (b) lets us compare the streams event-for-
-    event across engines."""
-    ring_f = RingBufferTracer(capacity=100_000)
-    ring_c = RingBufferTracer(capacity=100_000)
-    mf = _treiber(_config("fast"))
-    mf.attach_tracer(ring_f)
-    mc = _treiber(_config("compat"))
-    mc.attach_tracer(ring_c)
-    mf.run()
-    mc.run()
-    assert mf._batch_ok is False
-    assert ([e.to_dict() for e in ring_f.events()]
-            == [e.to_dict() for e in ring_c.events()])
-    assert mf.result("x") == mc.result("x")
-
-
-def test_counters_only_sinks_enable_batching():
-    m = _treiber(_config("fast"))
-    m.run()
-    assert m._batch_ok is True
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +263,7 @@ def test_wheel_cancel_and_live_count():
 
 def test_wheel_append_during_drain_is_picked_up():
     """An event scheduled at the *current* cycle during processing joins
-    the draining bucket, matching the heap engine's behavior."""
+    the draining bucket, matching the heap queue's behavior."""
     w = TimeWheel()
     seen = []
 
@@ -272,7 +286,7 @@ def test_wheel_rejects_negative_time():
 
 def test_wheel_state_roundtrip_into_heap_queue():
     """The wheel's canonical checkpoint format round-trips through the
-    compat EventQueue (and back), preserving order and seq."""
+    heap EventQueue (and back), preserving order and seq."""
     class _Codec:
         def encode_fn(self, fn):
             return "fn"
@@ -295,6 +309,12 @@ def test_wheel_state_roundtrip_into_heap_queue():
     assert state["seq"] == 3
     assert [e[0] for e in state["events"]] == [2, 4]    # cancelled dropped
 
+    q = EventQueue()
+    q.load_state(state, _Codec())
+    assert len(q) == 2
+    assert q.next_seq == 3
+    assert q.state_dict(_Codec()) == state
+
     w2 = TimeWheel()
     w2.load_state(state, _Codec())
     assert len(w2) == 2
@@ -315,27 +335,27 @@ def test_wheel_heap_size_counts_pending_entries():
 
 
 # ---------------------------------------------------------------------------
-# run(until) equivalence on the fast loop
+# run(until) equivalence between the two run loops
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("until", [0, 1, 37, 150, 10_000])
 def test_run_until_slicing_matches_compat(until):
-    mf = _storm(_config("fast", cores=3), rounds=4)
-    mc = _storm(_config("compat", cores=3), rounds=4)
-    tf = mf.run(until=until)
-    tc = mc.run(until=until)
-    assert tf == tc
-    assert mf.sim.events_processed == mc.sim.events_processed
+    mw = _storm(_config(cores=3), heap=False, rounds=4)
+    mh = _storm(_config(cores=3), heap=True, rounds=4)
+    tw = mw.run(until=until)
+    th = mh.run(until=until)
+    assert tw == th
+    assert mw.sim.events_processed == mh.sim.events_processed
     # Finish both; the slice must not have perturbed the tail.
-    mf.run()
-    mc.run()
-    assert mf.result("x") == mc.result("x")
+    mw.run()
+    mh.run()
+    assert mw.result("x") == mh.result("x")
 
 
 def test_incremental_until_equals_single_run_fast_engine():
-    whole = _storm(_config("fast", cores=3), rounds=4)
+    whole = _storm(_config(cores=3), rounds=4)
     whole.run()
-    sliced = _storm(_config("fast", cores=3), rounds=4)
+    sliced = _storm(_config(cores=3), rounds=4)
     t = 0
     while sliced.idle_cores < sliced.config.num_cores:
         t += 53
@@ -350,7 +370,7 @@ def test_incremental_until_equals_single_run_fast_engine():
 
 @pytest.mark.parametrize("variant", ["base", "lease", "backoff"])
 def test_bench_stack_identical_across_engines(variant):
-    rf = bench_stack(4, ops_per_thread=8, variant=variant)
-    rc = bench_stack(4, ops_per_thread=8, variant=variant,
-                     config=replace(MachineConfig(), engine="compat"))
-    assert rf == rc
+    rw = bench_stack(4, ops_per_thread=8, variant=variant)
+    rh = bench_stack(4, ops_per_thread=8, variant=variant,
+                     schedule=ScheduleStrategy())
+    assert rw == rh

@@ -1,7 +1,7 @@
 """Latency histogram: bucket math, percentiles, merge, serialization.
 
-The histogram backs the open-loop traffic engine's identity contracts
-(fast vs compat, checkpoint/restore, serial vs --jobs), so beyond the
+The histogram backs the open-loop traffic layer's identity contracts
+(time wheel vs heap, checkpoint/restore, serial vs --jobs), so beyond the
 usual unit checks these tests pin the *exactness* properties: integer
 bucket indices, deterministic percentiles, byte-stable state dicts.
 """

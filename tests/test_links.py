@@ -6,10 +6,14 @@ The headline contracts under test:
 
 * an empty/``infinite`` spec builds the plain contention-free
   :class:`MeshNetwork` -- no queues exist, behaviour is bit-identical to
-  the pre-links model, and the fast/compat engines still agree;
+  the pre-links model, and the time wheel and the heap still agree;
 * a finite spec conserves messages (every send is granted exactly once,
   per-flow FIFO order holds on every link) and stays bit-identical
-  across engines and across a mid-run checkpoint/restore cut.
+  across the two event queues and across a mid-run checkpoint/restore
+  cut.
+
+Identity arms keep their historical ids: "fast" is the time wheel (no
+strategy) and "compat" the heap under the base ``ScheduleStrategy``.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from repro.coherence.links import (FifoArbiter, LinkedNetwork,
                                    PriorityArbiter, WrrArbiter,
                                    build_network, parse_network_spec)
 from repro.coherence.network import MeshNetwork
+from repro.engine import ScheduleStrategy
 from repro.structures import LockedCounter, TreiberStack
 
 #: A spec that saturates under the contended workloads below.
@@ -175,16 +180,17 @@ def test_wrr_state_roundtrip():
 # Default spec: no queues, bit-identical behaviour
 # ---------------------------------------------------------------------------
 
-def _counter_machine(cfg: MachineConfig) -> Machine:
-    m = Machine(cfg)
+def _counter_machine(cfg: MachineConfig, arm: str = "fast") -> Machine:
+    m = Machine(cfg, schedule_strategy=(ScheduleStrategy()
+                                        if arm == "compat" else None))
     c = LockedCounter(m, lock="tts")
     for _ in range(cfg.num_cores):
         m.add_thread(c.update_worker, 6)
     return m
 
 
-def _result_of(cfg: MachineConfig):
-    m = _counter_machine(cfg)
+def _result_of(cfg: MachineConfig, arm: str = "fast"):
+    m = _counter_machine(cfg, arm)
     m.run()
     return dataclasses.asdict(m.result()), m.sim.events_processed, m.sim.now
 
@@ -200,7 +206,7 @@ def test_empty_spec_builds_plain_mesh():
 
 
 IDENTITY_GRID = [
-    # (protocol, leases, faults, engine)
+    # (protocol, leases, faults, arm)
     ("msi", True, "", "fast"),
     ("msi", False, "", "compat"),
     ("mesi", True, "", "compat"),
@@ -210,19 +216,18 @@ IDENTITY_GRID = [
 ]
 
 
-@pytest.mark.parametrize("protocol,leases,faults,engine", IDENTITY_GRID,
+@pytest.mark.parametrize("protocol,leases,faults,arm", IDENTITY_GRID,
                          ids=lambda v: str(v))
-def test_infinite_spec_is_bit_identical(protocol, leases, faults, engine):
+def test_infinite_spec_is_bit_identical(protocol, leases, faults, arm):
     """``spec="infinite"`` must match the spec-less build field-for-field
     (RunResult, event count, final cycle) across the protocol x leases x
-    faults x engine grid -- the default path builds the identical plain
+    faults x queue grid -- the default path builds the identical plain
     MeshNetwork, so nothing may diverge."""
-    cfg = MachineConfig(num_cores=4, protocol=protocol, fault_spec=faults,
-                        engine=engine)
+    cfg = MachineConfig(num_cores=4, protocol=protocol, fault_spec=faults)
     cfg = cfg.with_leases(leases)
-    plain = _result_of(cfg)
+    plain = _result_of(cfg, arm)
     inf = _result_of(replace(cfg, network=replace(cfg.network,
-                                                  spec="infinite")))
+                                                  spec="infinite")), arm)
     assert plain == inf
     # Link counters exist but stay zero on the contention-free model.
     counters = plain[0]["counters"]
@@ -232,13 +237,12 @@ def test_infinite_spec_is_bit_identical(protocol, leases, faults, engine):
 
 
 # ---------------------------------------------------------------------------
-# Contended runs: conservation, engine identity, degrade determinism
+# Contended runs: conservation, queue identity, degrade determinism
 # ---------------------------------------------------------------------------
 
 def _contended_cfg(spec: str = SAT_SPEC, *, leases: bool = False,
-                   faults: str = "", engine: str = "fast",
-                   cores: int = 4) -> MachineConfig:
-    cfg = MachineConfig(num_cores=cores, fault_spec=faults, engine=engine)
+                   faults: str = "", cores: int = 4) -> MachineConfig:
+    cfg = MachineConfig(num_cores=cores, fault_spec=faults)
     cfg = cfg.with_leases(leases)
     return replace(cfg, network=replace(cfg.network, spec=spec))
 
@@ -266,9 +270,9 @@ def test_contended_run_conserves_messages():
     "link:bw=1,queue=2;arb:fifo",              # deep backpressure
 ])
 def test_contended_fast_compat_identity(spec):
-    fast = _result_of(_contended_cfg(spec, engine="fast"))
-    compat = _result_of(_contended_cfg(spec, engine="compat"))
-    assert fast == compat
+    wheel = _result_of(_contended_cfg(spec), "fast")
+    heap = _result_of(_contended_cfg(spec), "compat")
+    assert wheel == heap
 
 
 def test_contended_result_extras():

@@ -1,8 +1,10 @@
 """Open-loop traffic: spec grammar, lanes, shed accounting, SLO gate.
 
 Ends with the identity checks the tentpole promises: the latency
-histogram of an open-loop run is bit-identical on the fast and compat
-engines and across a mid-run checkpoint/restore cut, and the CLI turns
+histogram of an open-loop run is bit-identical on the time wheel and on
+the heap (the base ``ScheduleStrategy``; the "fast"/"compat" test names
+predate the single run loop) and across a mid-run checkpoint/restore
+cut, and the CLI turns
 an SLO miss into exit code 1 (a bad spec into exit code 2).
 """
 
@@ -13,6 +15,7 @@ import pytest
 from repro.__main__ import main
 from repro.config import MachineConfig
 from repro.core.machine import Machine
+from repro.engine import ScheduleStrategy
 from repro.errors import ConfigError
 from repro.stats.latency import LatencyHistogram
 from repro.structures import LockedCounter
@@ -219,19 +222,20 @@ class TestSlo:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end identity: engines, checkpoint/restore, CLI gate
+# End-to-end identity: event queues, checkpoint/restore, CLI gate
 # ---------------------------------------------------------------------------
 
 SPEC = "poisson:rate=2.0,zipf:s=1.1,tenants=2,ops=8"
 
 
 class TestEndToEnd:
-    def _run(self, engine, use_lease=False):
+    def _run(self, heap=False, use_lease=False):
         return bench_counter(2, use_lease=use_lease, traffic=SPEC,
-                             config=MachineConfig(seed=7, engine=engine))
+                             config=MachineConfig(seed=7),
+                             schedule=ScheduleStrategy() if heap else None)
 
     def test_latency_payload_attached(self):
-        r = self._run("fast")
+        r = self._run()
         assert r.latency is not None
         assert r.ops == r.latency["admitted"] == r.latency["hist"]["total"]
         assert {"p50", "p99", "p999", "shed", "slo"} <= r.latency.keys()
@@ -239,18 +243,18 @@ class TestEndToEnd:
         assert r.counters["traffic_shed"] == r.latency["shed"]
 
     def test_fast_compat_bit_identical(self):
-        rf, rc = self._run("fast"), self._run("compat")
-        assert rf.latency == rc.latency
-        assert rf.cycles == rc.cycles and rf.ops == rc.ops
+        rw, rh = self._run(), self._run(heap=True)
+        assert rw.latency == rh.latency
+        assert rw.cycles == rh.cycles and rw.ops == rh.ops
 
     def test_lease_variant_also_identical(self):
-        rf = self._run("fast", use_lease=True)
-        rc = self._run("compat", use_lease=True)
-        assert rf.latency == rc.latency
+        rw = self._run(use_lease=True)
+        rh = self._run(heap=True, use_lease=True)
+        assert rw.latency == rh.latency
 
     def test_checkpoint_restore_histogram_identical(self):
         def build():
-            m = Machine(MachineConfig(num_cores=2, seed=7, engine="fast"))
+            m = Machine(MachineConfig(num_cores=2, seed=7))
             m.enable_checkpointing()
             counter = LockedCounter(m, lock="tts")
             src = TrafficSource(SPEC, num_lanes=2, seed=7, key_range=16)
