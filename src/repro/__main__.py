@@ -47,12 +47,13 @@ arrival spec (see :mod:`repro.traffic`), e.g.
 admitted arrivals instead of self-pacing, ``run`` prints tail-latency
 percentiles plus an SLO verdict (and exits 1 on SLO failure), and
 ``check`` fuzzes the open-loop workload variants.
-``run``/``trace`` accept ``--network SPEC``, a contended-interconnect
+``run``/``trace``/``check`` accept ``--network SPEC``, a contended-interconnect
 spec (see :mod:`repro.coherence.links`), e.g.
 ``"link:bw=2,queue=8,flits=4;arb:wrr,weights=2:1;port:dir=2,mem=4"``:
 finite-bandwidth egress links, pluggable arbitration and serialized
-directory/memory ports.  Unset (or ``infinite``) keeps the default
-contention-free mesh, bit-identical to the pre-links model.
+directory/memory ports; ``check`` fuzzes schedules over it.  Unset (or
+``infinite``) keeps the default contention-free mesh, bit-identical to the
+pre-links model.
 
 Examples::
 
@@ -71,6 +72,7 @@ Examples::
     python -m repro check treiber --budget 200 --seed 7
     python -m repro check sync_zoo_treiber --budget 200
     python -m repro check treiber --budget 50 --faults "timer_skew:±8"
+    python -m repro check treiber --budget 25 --network "link:bw=2;port:dir=2"
     python -m repro check cluster_lease --budget 60 --nodes 3
     python -m repro check cluster_lease --cluster "loss:p=0.1;skew:80"
     python -m repro check replay repro.treiber.json
@@ -476,6 +478,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if args.traffic:
             raise _CliError("check replay: --traffic is recorded in the "
                             "repro file; it cannot be overridden on replay")
+        if args.network:
+            raise _CliError("check replay: --network is recorded in the "
+                            "repro file; it cannot be overridden on replay")
         try:
             with open(args.repro, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -523,6 +528,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 "check cluster_lease: --traffic applies to the "
                 "single-machine targets (counter, treiber); the cluster "
                 "campaign drives its own workload")
+        if args.network:
+            raise _CliError(
+                "check cluster_lease: --network applies to the "
+                "single-machine targets; the cluster campaign models "
+                "inter-node links with --cluster SPEC")
         nodes = _parse_nodes(args.nodes) if args.nodes is not None else None
         spec = (_parse_cluster_spec(args.cluster)
                 if args.cluster is not None else None)
@@ -552,10 +562,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
     traffic = _parse_traffic(args.traffic) if args.traffic else ""
     if traffic:
         print(f"open-loop traffic: {traffic}")
+    network = _parse_network(args.network) if args.network else ""
+    if network:
+        print(f"contended network: {network}")
     try:
         report = run_campaign(args.target, budget=args.budget, seed=seed,
                               shrink=not args.no_shrink,
                               fault_spec=faults, traffic=traffic,
+                              network=network,
                               progress=lambda msg: print(f"  {msg}"))
     except ReproError as err:
         raise _CliError(str(err)) from None
@@ -812,6 +826,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fuzz the open-loop workload variant under "
                               "this arrival spec (targets: counter, "
                               "treiber); recorded in repro files")
+    check_p.add_argument("--network", default=None, metavar="SPEC",
+                         help="fuzz schedules over this contended-"
+                              "interconnect spec, e.g. 'link:bw=2;"
+                              "port:dir=2'; recorded in repro files")
     check_p.add_argument("--nodes", default=None, metavar="N",
                          help="(cluster_lease) pin the node count instead "
                               "of sweeping 2..5")

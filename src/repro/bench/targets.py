@@ -16,7 +16,7 @@ separate pass, and normalizes against a per-machine calibration loop.
 Targets cover the loops that dominate figure-reproduction wall-clock:
 
 * ``event_queue``      -- raw schedule/cancel/pop/peek churn (the
-  ``Event.__lt__`` + heap-compaction hot path);
+  heap sift + compaction hot path);
 * ``coherence_storm``  -- every core storing to one line: maximal
   invalidation/message traffic through directory + network;
 * ``treiber``          -- the paper's contended Treiber stack run;
@@ -80,7 +80,7 @@ def _lease_config(num_cores: int, fault_spec: str = "",
 def bench_event_queue(quick: bool, fault_spec: str = "",
                       seed: int | None = None) -> dict:
     """Schedule/cancel/pop/peek churn on a bare :class:`EventQueue` --
-    no machine, pure scheduler cost (``__lt__``, heap ops, compaction).
+    no machine, pure scheduler cost (heap ops, compaction).
     No machine, so ``fault_spec`` and ``seed`` are ignored."""
     n = 30_000 if quick else 150_000
     q = EventQueue()

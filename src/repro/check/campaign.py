@@ -481,6 +481,13 @@ def _strategy_for(campaign_seed: int, index: int):
     return strategy_for_schedule(campaign_seed, index)
 
 
+def _with_network(cfg: MachineConfig, network: str) -> MachineConfig:
+    """``cfg`` over the ``network`` interconnect spec (empty: unchanged)."""
+    if not network:
+        return cfg
+    return replace(cfg, network=replace(cfg.network, spec=network))
+
+
 def _machine_seed(campaign_seed: int, index: int) -> int:
     return ((campaign_seed * 2_654_435_761 + index * 40_503)
             & 0x7FFFFFFF) or 1
@@ -525,7 +532,8 @@ def shrink_failure(target: CheckTarget, variant: str, cfg: MachineConfig,
     """Minimize a failing decision map by replaying subsets.  Returns the
     shrunken map and how many replay runs were spent.  Any failure kind
     counts -- a subset that fails differently is still a bug, and keeping
-    the predicate loose lets ddmin cut much deeper.
+    the predicate loose lets ddmin cut much deeper.  Every replay runs on
+    ``cfg``, the failing run's config with its fault and network specs.
 
     Prefix restore: decisions are keyed by event ``seq``, and a checkpoint
     taken at queue watermark ``W`` precedes every scheduling decision with
@@ -629,6 +637,7 @@ class CampaignReport:
 def run_campaign(target_name: str, *, budget: int = 100, seed: int = 1,
                  shrink: bool = True, shrink_runs: int = 160,
                  fault_spec: str = "", traffic: str = "",
+                 network: str = "",
                  progress: Callable[[str], None] | None = None
                  ) -> CampaignReport:
     """Explore ``budget`` schedules of ``target_name``; stop at the first
@@ -638,13 +647,15 @@ def run_campaign(target_name: str, *, budget: int = 100, seed: int = 1,
     linearizability + property checks must still hold.
     ``traffic`` (see :mod:`repro.traffic`) switches the workload to its
     open-loop variant: arrivals are admitted from seeded streams and the
-    same linearizability checks run over the admitted-op histories."""
+    same linearizability checks run over the admitted-op histories.
+    ``network`` (see :mod:`repro.coherence.links`) runs every schedule
+    over that contended interconnect; empty keeps the plain mesh."""
     target = resolve_target(target_name)
     report = CampaignReport(target=target.name, seed=seed, budget=budget)
     for i in range(budget):
         variant, base_cfg = target.configs[i % len(target.configs)]
-        cfg = replace(base_cfg, seed=_machine_seed(seed, i),
-                      fault_spec=fault_spec)
+        cfg = _with_network(replace(base_cfg, seed=_machine_seed(seed, i),
+                                    fault_spec=fault_spec), network)
         out = run_once(target, variant, cfg, _strategy_for(seed, i),
                        traffic=traffic)
         report.schedules_run += 1
@@ -685,6 +696,7 @@ def run_campaign(target_name: str, *, budget: int = 100, seed: int = 1,
             "machine_seed": cfg.seed,
             "fault_spec": fault_spec,
             "traffic": traffic,
+            "network": network,
             "strategy": out.strategy,
             "decisions": {str(k): v for k, v in sorted(decisions.items())},
             "failure": {"kind": report.failure.kind,
@@ -710,9 +722,10 @@ def replay_repro(repro: dict) -> RunOutcome:
     """Re-execute a repro dict (as written by :func:`run_campaign`)
     deterministically and return the outcome of the checks."""
     target = resolve_target(repro["target"])
-    cfg = replace(target.config_for(repro["variant"]),
-                  seed=int(repro["machine_seed"]),
-                  fault_spec=repro.get("fault_spec", ""))
+    cfg = _with_network(replace(target.config_for(repro["variant"]),
+                                seed=int(repro["machine_seed"]),
+                                fault_spec=repro.get("fault_spec", "")),
+                        repro.get("network", ""))
     decisions = {int(k): int(v)
                  for k, v in repro.get("decisions", {}).items()}
     return run_once(target, repro["variant"], cfg,

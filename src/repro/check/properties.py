@@ -23,7 +23,7 @@ unwinds through ``Simulator.run`` with the cycle of the offending event.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Collection
 
 from ..errors import ProtocolError
 from ..trace.bus import Tracer
@@ -65,6 +65,11 @@ class LeasePropertyTracer(Tracer):
         self._max_defer = machine.config.lease.max_lease_time
         self._queued.clear()
         self._group.clear()
+
+    def interests(self) -> Collection[type]:
+        # Every other kind stays on the bus's allocation-free fast path.
+        return (LeaseProbeQueued, ProbeServiced, MultiLeaseIssued,
+                LeaseStarted, LeaseReleased)
 
     def on_event(self, ev: TraceEvent) -> None:
         kind = type(ev)
@@ -161,6 +166,10 @@ class ClusterLeaseSafetyTracer(Tracer):
     def bind(self, cluster) -> None:
         self._cluster = cluster
         self._holders.clear()
+
+    def interests(self) -> Collection[type]:
+        return (ClusterLeaseAcquired, ClusterLeaseExpired,
+                ClusterLeaseReleased)
 
     def on_event(self, ev: TraceEvent) -> None:
         kind = type(ev)

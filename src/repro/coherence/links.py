@@ -327,7 +327,7 @@ class Link:
     """
 
     __slots__ = ("rid", "label", "role", "cycles", "cap", "arbiter",
-                 "queues", "serving", "busy_cycles", "seq")
+                 "queues", "depth", "serving", "busy_cycles", "seq")
 
     def __init__(self, rid: int, label: str, role: str, cycles: int,
                  cap: int, arbiter: Arbiter) -> None:
@@ -340,16 +340,15 @@ class Link:
         self.cap = cap
         self.arbiter = arbiter
         self.queues = tuple(deque() for _ in range(NUM_FLOWS))
+        #: items waiting across all flows, kept equal to
+        #: ``sum(len(q) for q in queues)`` by LinkedNetwork's offer/pump.
+        self.depth = 0
         #: the item currently in service, or None when idle.
         self.serving: tuple | None = None
         #: total cycles spent serving (per-link utilization numerator).
         self.busy_cycles = 0
         #: per-resource enqueue sequence (feeds FIFO arbitration).
         self.seq = 0
-
-    @property
-    def depth(self) -> int:
-        return sum(len(q) for q in self.queues)
 
     # -- checkpointing (repro.state) ----------------------------------------
 
@@ -369,6 +368,7 @@ class Link:
         for q, items in zip(self.queues, state["queues"]):
             q.clear()
             q.extend(codec.decode(items))
+        self.depth = sum(len(q) for q in self.queues)
         self.arbiter.load_state(state["arb"])
 
 
@@ -489,19 +489,20 @@ class LinkedNetwork(MeshNetwork):
         now = self.sim.now
         if arrival is None:
             arrival = now
-        if (link.cap and link.serving is not None
-                and link.depth >= link.cap):
+        depth = link.depth
+        if link.cap and link.serving is not None and depth >= link.cap:
             self.sim.queue.schedule(
                 now + max(1, link.cycles), self._retry,
                 link.rid, flow, flits, service, fn, args, arrival)
             return
-        if link.serving is not None or link.depth:
+        if link.serving is not None or depth:
             if link.role == ROLE_LINK:
-                self.trace.link_queued(link.rid, flow, link.depth + 1)
+                self.trace.link_queued(link.rid, flow, depth + 1)
             else:
-                self.trace.port_busy(link.rid, link.depth + 1)
+                self.trace.port_busy(link.rid, depth + 1)
         link.queues[flow].append(
             (link.seq, arrival, flow, flits, service, fn, args))
+        link.depth = depth + 1
         link.seq += 1
         self._pump(link)
 
@@ -517,6 +518,7 @@ class LinkedNetwork(MeshNetwork):
         if flow < 0:
             return
         item = link.queues[flow].popleft()
+        link.depth -= 1
         now = self.sim.now
         if link.role == ROLE_LINK:
             # waited = grant time - first-offer time (includes any

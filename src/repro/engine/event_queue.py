@@ -13,15 +13,22 @@ touched -- so timing semantics are preserved while the tie-breaking order
 among simultaneous events is explored.  With no strategy installed every
 priority is 0 and the order is exactly the classic ``(time, seq)``.
 
+Heap entries are ``(time, pri, seq, ev)`` tuples rather than bare
+:class:`Event` objects, so every sift step compares tuples of ints in C
+instead of calling a Python ``__lt__``.  ``seq`` is unique, so the
+comparison never reaches ``ev``.
+
 Cancellation is lazy: cancelled events stay in the heap and are skipped on
 pop (the standard idiom for heap-backed schedulers; O(1) cancel).  When
 dead entries outnumber live ones (and there are enough of them to matter)
 the heap is compacted in place, so workloads that cancel heavily -- e.g.
 every lease acquisition schedules an expiry that a voluntary release
 cancels -- keep the heap linear in the number of *live* events.
-Compaction rebuilds the heap from the surviving events' stored
-``(time, pri, seq)`` keys, so a strategy's chosen order among equal-time
-events survives compaction unchanged.
+Compaction rewrites the same list object (``heap[:] = ...``), so a run
+loop holding a reference to it mid-run keeps seeing the live heap, and it
+re-heapifies the surviving entries by their stored ``(time, pri, seq)``
+keys, so a strategy's chosen order among equal-time events survives
+compaction unchanged.
 """
 
 from __future__ import annotations
@@ -62,18 +69,6 @@ class Event:
         self.args = args
         self.cancelled = False
 
-    def __lt__(self, other: "Event") -> bool:
-        # Ordered by (time, pri, seq), compared field-by-field: this runs
-        # once per heap sift step, and building two key tuples per
-        # comparison dominated schedule/pop cost.  Ties on all three keys
-        # cannot happen (seq is unique), so the final seq comparison
-        # decides every remaining case.
-        if self.time != other.time:
-            return self.time < other.time
-        if self.pri != other.pri:
-            return self.pri < other.pri
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = " cancelled" if self.cancelled else ""
         pri = f" p{self.pri}" if self.pri else ""
@@ -82,7 +77,7 @@ class Event:
 
 
 class EventQueue:
-    """Min-heap of :class:`Event` ordered by ``(time, pri, seq)``."""
+    """Min-heap of ``(time, pri, seq, Event)`` entries."""
 
     #: Compact only once at least this many cancelled entries accumulate
     #: (avoids rebuilding tiny heaps over and over).
@@ -91,7 +86,7 @@ class EventQueue:
     __slots__ = ("_heap", "_seq", "_live", "strategy")
 
     def __init__(self, strategy: ScheduleStrategy | None = None) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[int, int, int, Event]] = []
         self._seq = 0
         self._live = 0
         #: Optional perturbation strategy consulted once per scheduled
@@ -112,12 +107,13 @@ class EventQueue:
         """Schedule ``fn(*args)`` at absolute ``time``."""
         if time < 0:
             raise SimulationError(f"cannot schedule event at t={time}")
-        ev = Event(time, self._seq, fn, args)
+        seq = self._seq
+        ev = Event(time, seq, fn, args)
         if self.strategy is not None:
             ev.pri = self.strategy.priority(ev)
-        self._seq += 1
+        self._seq = seq + 1
         self._live += 1
-        heapq.heappush(self._heap, ev)
+        heapq.heappush(self._heap, (time, ev.pri, seq, ev))
         return ev
 
     def cancel(self, ev: Event) -> None:
@@ -134,15 +130,18 @@ class EventQueue:
         amortized O(1) per cancel, since at least half the heap is dead
         whenever this runs.  Ordering is untouched: surviving events keep
         their (time, pri, seq) keys -- including any strategy-assigned
-        priorities -- so determinism is preserved."""
-        self._heap = [e for e in self._heap if not e.cancelled]
-        heapq.heapify(self._heap)
+        priorities -- so determinism is preserved.  The list is rewritten
+        in place: :meth:`Simulator.run` holds it across handler calls,
+        and a handler's cancel may land here."""
+        heap = self._heap
+        heap[:] = [e for e in heap if not e[3].cancelled]
+        heapq.heapify(heap)
 
     def pop(self) -> Event | None:
         """Pop and return the earliest live event, or None if empty."""
         heap = self._heap
         while heap:
-            ev = heapq.heappop(heap)
+            ev = heapq.heappop(heap)[3]
             if not ev.cancelled:
                 self._live -= 1
                 return ev
@@ -151,9 +150,9 @@ class EventQueue:
     def peek_time(self) -> int | None:
         """Time of the earliest live event without popping it."""
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][3].cancelled:
             heapq.heappop(heap)
-        return heap[0].time if heap else None
+        return heap[0][0] if heap else None
 
     # -- checkpointing (repro.state) ----------------------------------------
 
@@ -171,11 +170,13 @@ class EventQueue:
         Events are saved in full ``(time, pri, seq)`` order so the tree is
         canonical regardless of the heap's internal layout.
         """
-        live = sorted(e for e in self._heap if not e.cancelled)
+        live = sorted(entry for entry in self._heap
+                      if not entry[3].cancelled)
         return {
             "seq": self._seq,
-            "events": [[e.time, e.pri, e.seq, codec.encode_fn(e.fn),
-                        codec.encode(e.args)] for e in live],
+            "events": [[time, pri, seq, codec.encode_fn(e.fn),
+                        codec.encode(e.args)]
+                       for time, pri, seq, e in live],
         }
 
     def load_state(self, state: dict, codec) -> dict[int, Event]:
@@ -183,14 +184,14 @@ class EventQueue:
         map so stored event references (lease expiry timers) can relink.
         The strategy is *not* consulted: each event keeps the priority it
         was assigned when originally scheduled."""
-        events = []
+        heap = self._heap
+        heap.clear()
         for time, pri, seq, fn_desc, args_enc in state["events"]:
             ev = Event(time, seq, codec.decode_fn(fn_desc),
                        codec.decode(args_enc))
             ev.pri = pri
-            events.append(ev)
-        heapq.heapify(events)
-        self._heap = events
-        self._live = len(events)
+            heap.append((time, pri, seq, ev))
+        heapq.heapify(heap)
+        self._live = len(heap)
         self._seq = state["seq"]
-        return {e.seq: e for e in events}
+        return {seq: ev for _, _, seq, ev in heap}

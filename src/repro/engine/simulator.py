@@ -142,41 +142,54 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
+        # The heap loop, with EventQueue.peek_time/pop inlined: heap
+        # entries are (time, pri, seq, ev) tuples.  ``heap`` stays valid
+        # across handler calls because compaction rewrites it in place.
+        queue = self.queue
+        heap = queue._heap
+        heappop = heapq.heappop
         poll = self._poll_quiescence
+        quiescent = self.quiescent
+        max_cycles = self.max_cycles
+        max_events = self.max_events
+        has_until = until is not None
         self.quiesce_dirty = True
         try:
-            queue = self.queue
             while True:
                 if poll or self.quiesce_dirty:
                     self.quiesce_dirty = False
-                    if self.quiescent():
+                    if quiescent():
                         return self.now
-                if until is not None:
-                    # Peek first so a deferred event keeps its place in the
-                    # (time, seq) order when the run resumes later.
-                    t = queue.peek_time()
-                    if t is None or t > until:
-                        if until > self.now:
-                            self.now = until
-                        return self.now
-                ev = queue.pop()
-                if ev is None:
-                    break
-                if ev.time > self.max_cycles:
+                # Drop cancelled heads so heap[0] is the next live event;
+                # peeking before popping keeps an event beyond the horizon
+                # in its (time, pri, seq) place for a later resume.
+                while heap and heap[0][3].cancelled:
+                    heappop(heap)
+                if not heap:
+                    # Drained: the clock advances to the horizon, if any.
+                    if has_until and until > self.now:
+                        self.now = until
+                    return self.now
+                t = heap[0][0]
+                if has_until and t > until:
+                    if until > self.now:
+                        self.now = until
+                    return self.now
+                ev = heappop(heap)[3]
+                queue._live -= 1
+                if t > max_cycles:
                     raise SimulationTimeout(
-                        f"simulation exceeded max_cycles={self.max_cycles}",
-                        cycle=ev.time, events=self.events_processed)
-                self.now = ev.time
-                self.events_processed += 1
-                if self.events_processed > self.max_events:
+                        f"simulation exceeded max_cycles={max_cycles}",
+                        cycle=t, events=self.events_processed)
+                self.now = t
+                nev = self.events_processed + 1
+                self.events_processed = nev
+                if nev > max_events:
                     raise SimulationTimeout(
-                        f"simulation exceeded max_events={self.max_events}"
+                        f"simulation exceeded max_events={max_events}"
                         " (livelocked workload?)",
-                        cycle=self.now, events=self.events_processed)
+                        cycle=t, events=nev)
                 ev.fn(*ev.args)
-            # Quiescence (or a drained queue with no horizon): the clock
-            # stays at the last processed event's time.
-            return self.now
         finally:
             self._running = False
 
@@ -185,10 +198,9 @@ class Simulator:
 
         Event-for-event equivalent to the heap loop above: same stop
         conditions evaluated in the same order, same budget-exception
-        payloads, same clock rule.  The wins are structural -- no heap
-        traffic, no per-event ``pop()``/``peek_time()`` calls, quiescence
-        evaluated only when flagged (in notify mode), and every hot name a
-        local.
+        payloads, same clock rule.  The win over the heap loop is
+        structural: no per-event heap sift, and the horizon and
+        cycle-budget checks run once per distinct timestamp.
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")

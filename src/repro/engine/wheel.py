@@ -67,8 +67,8 @@ class TimeWheel:
 
     @property
     def _heap(self) -> list[Event]:
-        """Pending events as a flat list (introspection parity with
-        EventQueue's physical heap; includes cancelled entries)."""
+        """Pending events as a flat list, cancelled entries included
+        (test introspection)."""
         return [ev for lst in self._buckets.values()
                 for ev in lst[lst[0] + 1:]]
 
@@ -141,8 +141,9 @@ class TimeWheel:
     def state_dict(self, codec) -> dict:
         """Identical canonical format to :meth:`EventQueue.state_dict`:
         live events in full ``(time, pri, seq)`` order."""
-        live = sorted(e for lst in self._buckets.values()
-                      for e in lst[lst[0] + 1:] if not e.cancelled)
+        live = sorted((e for lst in self._buckets.values()
+                       for e in lst[lst[0] + 1:] if not e.cancelled),
+                      key=lambda e: (e.time, e.pri, e.seq))
         return {
             "seq": self._seq,
             "events": [[e.time, e.pri, e.seq, codec.encode_fn(e.fn),

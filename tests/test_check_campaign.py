@@ -247,3 +247,79 @@ def test_history_recorder_collects_and_validates():
     for recs in per_thread.values():
         assert [r.op for r in recs] == ["push", "pop", "push", "pop"]
         assert all(r.invoked <= r.responded for r in recs)
+
+
+# -- campaigns over a contended interconnect ----------------------------------
+
+LINK_SPEC = "link:bw=2;port:dir=2"
+
+
+def _run_recorded(monkeypatch, name, strategy, *, fast):
+    """``run_once`` on the lease variant of ``name`` over ``LINK_SPEC``,
+    with the trace bus's fast path on or off; returns the outcome and the
+    machine's counters."""
+    from repro.check.perturb import PctStrategy, RandomStrategy
+    from repro.coherence.links import LinkedNetwork
+    from repro.core.machine import Machine
+
+    built = []
+
+    class Recorded(Machine):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            self.trace.set_fast_path(fast)
+            built.append(self)
+
+    monkeypatch.setattr(campaign, "Machine", Recorded)
+    target = resolve_target(name)
+    cfg = campaign._with_network(target.config_for("lease"), LINK_SPEC)
+    kind, seed = strategy
+    make = RandomStrategy if kind == "random" else PctStrategy
+    out = run_once(target, "lease", cfg, make(seed))
+    (m,) = built
+    assert isinstance(m.network, LinkedNetwork)
+    assert m.trace.fast_path_enabled is fast
+    return out, m.counters.snapshot()
+
+
+@pytest.mark.parametrize("strategy", [("random", 11), ("pct", 12)],
+                         ids=lambda s: s[0])
+@pytest.mark.parametrize("name", ["treiber", "msqueue", "counter"])
+def test_check_run_identical_across_fast_path_toggle(monkeypatch, name,
+                                                     strategy):
+    """The check sinks' narrow ``interests()`` move most kinds onto the
+    bus's fast handlers; a perturbed schedule over contended links must
+    still check and count exactly as with every kind on the slow path."""
+    fast_out, fast_counts = _run_recorded(monkeypatch, name, strategy,
+                                          fast=True)
+    slow_out, slow_counts = _run_recorded(monkeypatch, name, strategy,
+                                          fast=False)
+    assert fast_out == slow_out
+    assert fast_counts == slow_counts
+    assert fast_counts["link_flits"] > 0
+
+
+def test_network_campaign_records_and_replays_the_spec(broken_treiber,
+                                                       monkeypatch):
+    """``network=`` reaches every schedule and the repro file; replay
+    honours the recorded spec, and a repro without the key replays on
+    the plain mesh."""
+    specs = []
+    real_run_once = campaign.run_once
+
+    def spy(target, variant, cfg, strategy, **kw):
+        specs.append(cfg.network.spec)
+        return real_run_once(target, variant, cfg, strategy, **kw)
+
+    monkeypatch.setattr(campaign, "run_once", spy)
+    rep = run_campaign("treiber", budget=200, seed=7, network=LINK_SPEC)
+    assert not rep.ok
+    assert specs and set(specs) == {LINK_SPEC}
+    assert rep.repro["network"] == LINK_SPEC
+
+    specs.clear()
+    out = replay_repro(json.loads(json.dumps(rep.repro)))
+    assert not out.ok and specs == [LINK_SPEC]
+    legacy = {k: v for k, v in rep.repro.items() if k != "network"}
+    replay_repro(legacy)
+    assert specs == [LINK_SPEC, ""]

@@ -364,6 +364,56 @@ def test_check_replay_rejects_faults_flag(tmp_path, capsys):
     assert "recorded in the repro file" in capsys.readouterr().err
 
 
+# -- check --network ----------------------------------------------------------
+
+def test_check_with_network_passes_and_announces(capsys):
+    rc = main(["check", "counter", "--budget", "3", "--seed", "5",
+               "--network", "link:bw=2;port:dir=2"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "contended network: link:bw=2;port:dir=2" in out
+    assert "no failures found" in out
+
+
+def test_check_rejects_bad_network_spec(capsys):
+    assert main(["check", "treiber", "--budget", "1",
+                 "--network", "link:bw=0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("--network:")
+    assert "must be >= 1" in err
+
+
+def test_check_replay_rejects_network_flag(tmp_path, capsys):
+    assert main(["check", "replay", str(tmp_path / "r.json"),
+                 "--network", "link:bw=2"]) == 2
+    assert "recorded in the repro file" in capsys.readouterr().err
+
+
+def test_check_cluster_rejects_network_flag(capsys):
+    assert main(["check", "cluster_lease", "--budget", "1",
+                 "--network", "link:bw=2"]) == 2
+    assert "--network applies to the single-machine" in \
+        capsys.readouterr().err
+
+
+def test_check_network_failure_writes_replayable_repro(tmp_path,
+                                                       monkeypatch, capsys):
+    import json
+
+    import repro.check.campaign as campaign
+    from test_check_campaign import _BrokenTreiberStack
+
+    monkeypatch.setattr(campaign, "TreiberStack", _BrokenTreiberStack)
+    path = tmp_path / "r.json"
+    assert main(["check", "treiber", "--budget", "5", "--seed", "1",
+                 "--network", "link:bw=2;port:dir=2",
+                 "--save", str(path)]) == 1
+    assert json.loads(path.read_text())["network"] == "link:bw=2;port:dir=2"
+    capsys.readouterr()
+    assert main(["check", "replay", str(path)]) == 0
+    assert "reproduced the failure" in capsys.readouterr().out
+
+
 # -- checkpointing flags (repro.state) ---------------------------------------
 
 def test_run_checkpoint_every_saves_and_warm_start_restores(tmp_path,

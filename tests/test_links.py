@@ -350,6 +350,48 @@ def test_contended_roundtrip_is_bit_identical(spec, faults, cut):
     assert dataclasses.asdict(r1) == dataclasses.asdict(r3)
 
 
+def _assert_depths(net: LinkedNetwork) -> None:
+    for link in net._resources:
+        assert link.depth == sum(len(q) for q in link.queues), link.label
+
+
+def test_link_depth_tracks_queues_through_run_and_restore(monkeypatch):
+    """``Link.depth`` is a maintained count: it must equal the summed
+    per-flow queue lengths after every offer and pump of a saturating
+    run, and after a mid-run checkpoint restore."""
+    offer, pump = LinkedNetwork._offer, LinkedNetwork._pump
+    deepest = [0]
+
+    def checked_offer(self, link, *args, **kw):
+        offer(self, link, *args, **kw)
+        _assert_depths(self)
+        deepest[0] = max(deepest[0], link.depth)
+
+    def checked_pump(self, link):
+        pump(self, link)
+        _assert_depths(self)
+
+    monkeypatch.setattr(LinkedNetwork, "_offer", checked_offer)
+    monkeypatch.setattr(LinkedNetwork, "_pump", checked_pump)
+    # Eight unleased TTS spinners: bounded queues fill and retry.
+    cfg = _contended_cfg(cores=8)
+    m1 = _counter_machine(cfg)
+    m1.enable_checkpointing()
+    m1.run(until=100)
+    assert sum(link.depth for link in m1.network._resources) > 1, \
+        "the cut should catch messages parked in queues"
+    state = json.loads(json.dumps(m1.state_dict()))
+
+    m2 = _counter_machine(cfg)
+    m2.load_state(state)
+    _assert_depths(m2.network)
+    assert ([link.depth for link in m2.network._resources]
+            == [link.depth for link in m1.network._resources])
+    m2.run()
+    assert deepest[0] >= 4
+    _assert_depths(m2.network)
+
+
 def test_default_checkpoint_has_no_network_key():
     cfg = MachineConfig(num_cores=2)
     m = Machine(cfg)

@@ -190,3 +190,97 @@ def test_events_processed_counter():
         sim.at(i, lambda: None)
     sim.run()
     assert sim.events_processed == 7
+
+
+# -- the heap loop (a schedule strategy installed) ------------------------------
+
+def _heap_sim(**kw) -> Simulator:
+    from repro.engine import EventQueue, ScheduleStrategy
+
+    sim = Simulator(strategy=ScheduleStrategy(), **kw)
+    assert type(sim.queue) is EventQueue
+    return sim
+
+
+@pytest.mark.parametrize("make", [Simulator, _heap_sim],
+                         ids=["wheel", "heap"])
+def test_budget_payloads_and_clock_rule_on_both_loops(make):
+    """The two run loops share stop conditions, exception payloads and
+    the clock rule; this pins the heap loop to the wheel's answers."""
+    sim = make(max_events=100)
+
+    def tick():
+        sim.after(1, tick)
+
+    sim.at(0, tick)
+    with pytest.raises(SimulationTimeout) as exc:
+        sim.run()
+    assert (exc.value.events, exc.value.cycle) == (101, 100)
+
+    sim = make(max_cycles=1000)
+    sim.at(5, lambda: None)
+    sim.at(2000, lambda: None)
+    with pytest.raises(SimulationTimeout) as exc:
+        sim.run()
+    assert (exc.value.events, exc.value.cycle) == (1, 2000)
+
+    sim = make()
+    seen = []
+    dead = sim.at(3, lambda: seen.append("dead"))
+    sim.at(3, lambda: seen.append(3))
+    sim.at(50, lambda: seen.append(50))
+    sim.cancel(dead)
+    assert sim.run(until=10) == 10 and seen == [3]
+    assert sim.run(until=200) == 200 and seen == [3, 50]
+    assert sim.run() == 200 and sim.events_processed == 2
+
+
+def test_compaction_mid_run_keeps_heap_order():
+    """A handler cancels enough pending events to trigger the queue's
+    compaction while the run loop holds the heap list, then schedules
+    more work.  No cancelled event may fire, and every survivor -- old
+    and new -- must fire in (time, pri, seq) order."""
+    import random
+
+    from repro.engine import EventQueue, ScheduleStrategy
+
+    class Jitter(ScheduleStrategy):
+        def __init__(self) -> None:
+            self.rng = random.Random(5)
+
+        def priority(self, ev) -> int:
+            return self.rng.randint(0, 3)
+
+    sim = Simulator(strategy=Jitter())
+    events, fired = [], []
+
+    def record(i):
+        fired.append(i)
+
+    def add(t):
+        events.append(sim.at(t, record, len(events)))
+
+    def killer():
+        doomed = [e for e in events if e.seq % 4]
+        assert len(doomed) >= EventQueue.COMPACT_MIN_DEAD
+        before = sim.queue.heap_size
+        for e in doomed:
+            sim.cancel(e)
+        assert sim.queue.heap_size < before - EventQueue.COMPACT_MIN_DEAD
+        for t in range(30, 50):
+            add(t)
+
+    for t in range(10, 60):
+        for _ in range(4):
+            add(t)
+    sim.at(5, killer)
+    sim.run(until=40)
+    sim.run()
+
+    live = [e for e in events if not e.cancelled]
+    assert not set(fired) & {i for i, e in enumerate(events) if e.cancelled}
+    expect = sorted(range(len(events)),
+                    key=lambda i: (events[i].time, events[i].pri,
+                                   events[i].seq))
+    assert fired == [i for i in expect if not events[i].cancelled]
+    assert len(fired) == len(live) == 50 + 20

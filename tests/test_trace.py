@@ -338,3 +338,59 @@ def test_allocator_labels_resolve():
     addr = m.alloc_var(0, label="spot")
     assert m.alloc.label_of(m.amap.line_of(addr)) == "spot"
     assert m.alloc.label_of(10**9) is None
+
+
+# -- interests() discipline ----------------------------------------------------
+
+#: Sinks that genuinely consume every event kind as an object.
+WHOLE_STREAM_SINKS = {"InvariantTracer", "JsonlTracer", "RingBufferTracer"}
+
+
+def _repro_tracer_subclasses(base):
+    """Every subclass of ``base`` defined under ``repro`` (all modules
+    imported first, so none is missed for want of an import)."""
+    import importlib
+    import pkgutil
+
+    import repro
+
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(info.name)
+    found, todo = set(), [base]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return {c for c in found if c.__module__.startswith("repro.")}
+
+
+def test_every_partial_sink_declares_interests():
+    """A sink that leaves ``interests()`` at the default ``None`` forces
+    the bus's slow path for every event kind.  Only the whole-stream
+    capture/checking sinks may do that."""
+    from repro.trace.bus import Tracer
+
+    sinks = _repro_tracer_subclasses(Tracer)
+    assert WHOLE_STREAM_SINKS <= {c.__name__ for c in sinks}, \
+        "allowlist names a ghost"
+    undeclared = {c.__name__ for c in sinks
+                  if c.interests is Tracer.interests}
+    assert undeclared == WHOLE_STREAM_SINKS, (
+        f"declare interests() on {sorted(undeclared - WHOLE_STREAM_SINKS)}")
+
+
+def test_check_machine_constructs_only_history_and_lease_objects():
+    """A ``run_once`` machine (history recorder + lease-property sink)
+    builds event objects for exactly the kinds those sinks read; every
+    other kind stays on the counters' fast handlers."""
+    from repro.check import HistoryRecorder, LeasePropertyTracer
+    from repro.trace.bus import EVENT_TYPES
+
+    m = make_machine()
+    m.attach_tracer(HistoryRecorder())
+    m.attach_tracer(LeasePropertyTracer())
+    wanted = {t for t in EVENT_TYPES if m.trace.wants(t)}
+    assert wanted == {ev.OpCompleted, ev.LeaseProbeQueued,
+                      ev.ProbeServiced, ev.MultiLeaseIssued,
+                      ev.LeaseStarted, ev.LeaseReleased}
