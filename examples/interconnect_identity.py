@@ -31,7 +31,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import replace
 
 from repro.config import MachineConfig
 from repro.core.machine import Machine
@@ -85,8 +84,7 @@ def build_machine(cell: dict, spec: str, heap: bool = False) -> Machine:
                         protocol=cell["protocol"],
                         fault_spec=cell["faults"],
                         seed=cell["machine_seed"])
-    cfg = cfg.with_leases(cell["leases"])
-    cfg = replace(cfg, network=replace(cfg.network, spec=spec))
+    cfg = cfg.with_leases(cell["leases"]).with_scenario(network=spec)
     m = Machine(cfg, schedule_strategy=ScheduleStrategy() if heap else None)
     if cell["workload"] == "treiber":
         s = TreiberStack(m)

@@ -34,10 +34,14 @@ Commands:
                             ``--profile`` prints a cProfile summary.
 * ``config``             -- print the Table-1 machine configuration.
 
-``run`` and ``trace`` accept a global ``--seed N`` that reseeds the
-simulated machine (and thereby every workload RNG) for the whole sweep.
+``run``, ``trace`` and ``bench`` accept ``--seed N``, which reseeds the
+simulated machine (and thereby every workload RNG) for the whole run;
+``check --seed N`` (default 1) seeds the campaign's schedules and machines.
+The ``--faults``, ``--network``, ``--traffic`` and ``--cluster`` specs
+share one clause grammar (see :mod:`repro.spec`); a malformed spec exits
+2 with a one-line error.
 ``run``/``trace``/``check``/``bench`` accept ``--faults SPEC``, a
-semicolon-separated fault-injection spec (see :mod:`repro.faults`), e.g.
+fault-injection spec (see :mod:`repro.faults`), e.g.
 ``"net_jitter:p=0.01,max=200;dir_nack:p=0.005;timer_skew:±8"``.  Faults
 are deterministic per seed: the same seed + spec replays byte-identically,
 serial or under ``--jobs``.
@@ -89,11 +93,16 @@ import dataclasses
 import json
 import sys
 
+from .cluster import parse_cluster_spec
+from .coherence.links import parse_network_spec
 from .config import MachineConfig
+from .errors import ConfigError
+from .faults import parse_fault_spec
 from .harness import EXPERIMENTS, run_experiment
 from .harness.runner import PAPER_THREAD_COUNTS, series_table
 from .trace import (ContentionHeatmap, InvariantTracer, JsonlTracer,
                     reconcile)
+from .traffic import parse_traffic_spec
 
 
 class _CliError(Exception):
@@ -156,8 +165,6 @@ def _parse_nodes(spec: str) -> int:
     """Parse a ``--nodes`` value.  Non-integers are a CLI error; a bad
     count is a ConfigError naming the flag, same as ClusterConfig's own
     validation raises."""
-    from .errors import ConfigError
-
     try:
         n = int(spec)
     except ValueError:
@@ -167,55 +174,23 @@ def _parse_nodes(spec: str) -> int:
     return n
 
 
-def _parse_cluster_spec(spec: str) -> str:
-    """Validate a ``--cluster`` inter-node fault spec string."""
-    from .cluster import parse_cluster_spec
-    from .errors import ConfigError
+#: The composition flags and the parser of each one's spec family.
+_SPEC_PARSERS = {"--faults": parse_fault_spec,
+                 "--network": parse_network_spec,
+                 "--traffic": parse_traffic_spec,
+                 "--cluster": parse_cluster_spec}
 
+
+def _parse_spec(flag: str, spec: str) -> str:
+    """Validate ``spec`` against ``flag``'s grammar (see :mod:`repro.spec`)
+    and return it unchanged.  Per-machine range checks, like slow-core
+    ids, happen in MachineConfig.validate; an arrival-free ``--traffic``
+    spec is refused here."""
     try:
-        parse_cluster_spec(spec)
+        parsed = _SPEC_PARSERS[flag](spec)
     except ConfigError as err:
-        raise _CliError(f"--cluster: {err}") from None
-    return spec
-
-
-def _parse_faults(spec: str) -> str:
-    """Validate a ``--faults`` spec string (grammar only; per-machine
-    range checks like slow-core ids happen in MachineConfig.validate)."""
-    from .errors import ConfigError
-    from .faults import parse_fault_spec
-
-    try:
-        parse_fault_spec(spec)
-    except ConfigError as err:
-        raise _CliError(f"--faults: {err}") from None
-    return spec
-
-
-def _parse_network(spec: str) -> str:
-    """Validate a ``--network`` contended-interconnect spec string (see
-    :mod:`repro.coherence.links`)."""
-    from .coherence.links import parse_network_spec
-    from .errors import ConfigError
-
-    try:
-        parse_network_spec(spec)
-    except ConfigError as err:
-        raise _CliError(f"--network: {err}") from None
-    return spec
-
-
-def _parse_traffic(spec: str) -> str:
-    """Validate a ``--traffic`` open-loop arrival spec string (see
-    :mod:`repro.traffic`); an empty/arrival-free spec is a CLI error."""
-    from .errors import ConfigError
-    from .traffic import parse_traffic_spec
-
-    try:
-        parsed = parse_traffic_spec(spec)
-    except ConfigError as err:
-        raise _CliError(f"--traffic: {err}") from None
-    if parsed.empty:
+        raise _CliError(f"{flag}: {err}") from None
+    if flag == "--traffic" and parsed.empty:
         raise _CliError("--traffic: empty spec (give an arrival clause, "
                         "e.g. 'poisson:rate=2.0')")
     return spec
@@ -247,9 +222,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         overrides["seed"] = _parse_seed(args.seed)
     if args.faults:
-        overrides["faults"] = _parse_faults(args.faults)
+        overrides["faults"] = _parse_spec("--faults", args.faults)
     if args.network:
-        overrides["network"] = _parse_network(args.network)
+        overrides["network"] = _parse_spec("--network", args.network)
     if args.traffic:
         import inspect
 
@@ -258,7 +233,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"--traffic: experiment {exp.id!r} has no open-loop "
                 "variant (try: counter, treiber, skiplist, or "
                 "cluster_shards)")
-        overrides["traffic"] = _parse_traffic(args.traffic)
+        overrides["traffic"] = _parse_spec("--traffic", args.traffic)
     if args.nodes is not None:
         if "nodes" not in exp.common:
             raise _CliError(
@@ -385,8 +360,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     exp = _get_experiment(args.experiment)
     threads = _parse_threads(args.threads)
     seed = _parse_seed(args.seed) if args.seed is not None else None
-    faults = _parse_faults(args.faults) if args.faults else None
-    network = _parse_network(args.network) if args.network else None
+    faults = _parse_spec("--faults", args.faults) if args.faults else None
+    network = (_parse_spec("--network", args.network) if args.network
+               else None)
     out_path = args.out or f"{args.experiment}.trace.jsonl"
     sinks = [JsonlTracer(out_path, max_events=args.limit)]
     jsonl = sinks[0]
@@ -403,18 +379,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 jsonl.annotate(variant=name, threads=n)
                 before = dict(jsonl.counts)
                 merged = {**exp.common, **kw, "sinks": sinks}
-                if seed is not None or faults is not None \
-                        or network is not None:
+                if (seed, faults, network) != (None, None, None):
                     base = merged.get("config") or MachineConfig()
-                    if seed is not None:
-                        base = dataclasses.replace(base, seed=seed)
-                    if faults is not None:
-                        base = dataclasses.replace(base, fault_spec=faults)
-                    if network is not None:
-                        base = dataclasses.replace(
-                            base, network=dataclasses.replace(
-                                base.network, spec=network))
-                    merged["config"] = base
+                    merged["config"] = base.with_scenario(seed, faults,
+                                                          network)
                 res = exp.bench(n, **merged)
                 delta = {k: v - before.get(k, 0)
                          for k, v in jsonl.counts.items()}
@@ -472,15 +440,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if not args.repro:
             raise _CliError("check replay: missing repro file "
                             "(usage: python -m repro check replay FILE)")
-        if args.faults:
-            raise _CliError("check replay: --faults is recorded in the "
-                            "repro file; it cannot be overridden on replay")
-        if args.traffic:
-            raise _CliError("check replay: --traffic is recorded in the "
-                            "repro file; it cannot be overridden on replay")
-        if args.network:
-            raise _CliError("check replay: --network is recorded in the "
-                            "repro file; it cannot be overridden on replay")
+        for flag in ("faults", "traffic", "network"):
+            if getattr(args, flag):
+                raise _CliError(
+                    f"check replay: --{flag} is recorded in the repro "
+                    "file; it cannot be overridden on replay")
         try:
             with open(args.repro, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -519,22 +483,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
                         "schedule count")
 
     if args.target in ("cluster_lease", "cluster"):
-        if args.faults:
-            raise _CliError(
-                "check cluster_lease: inter-node faults come from "
-                "--cluster SPEC (e.g. 'loss:p=0.1;skew:80'), not --faults")
-        if args.traffic:
-            raise _CliError(
-                "check cluster_lease: --traffic applies to the "
-                "single-machine targets (counter, treiber); the cluster "
-                "campaign drives its own workload")
-        if args.network:
-            raise _CliError(
-                "check cluster_lease: --network applies to the "
-                "single-machine targets; the cluster campaign models "
-                "inter-node links with --cluster SPEC")
+        for flag, why in (
+                ("faults", "inter-node faults come from --cluster SPEC "
+                           "(e.g. 'loss:p=0.1;skew:80'), not --faults"),
+                ("traffic", "--traffic applies to the single-machine "
+                            "targets (counter, treiber); the cluster "
+                            "campaign drives its own workload"),
+                ("network", "--network applies to the single-machine "
+                            "targets; the cluster campaign models "
+                            "inter-node links with --cluster SPEC")):
+            if getattr(args, flag):
+                raise _CliError(f"check cluster_lease: {why}")
         nodes = _parse_nodes(args.nodes) if args.nodes is not None else None
-        spec = (_parse_cluster_spec(args.cluster)
+        spec = (_parse_spec("--cluster", args.cluster)
                 if args.cluster is not None else None)
         quorum = None
         if args.quorum is not None:
@@ -556,13 +517,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
             raise _CliError(str(err)) from None
         return _report_campaign(report, args.save)
 
-    faults = _parse_faults(args.faults) if args.faults else ""
+    faults = _parse_spec("--faults", args.faults) if args.faults else ""
     if faults:
         print(f"fault campaign: {faults}")
-    traffic = _parse_traffic(args.traffic) if args.traffic else ""
+    traffic = _parse_spec("--traffic", args.traffic) if args.traffic else ""
     if traffic:
         print(f"open-loop traffic: {traffic}")
-    network = _parse_network(args.network) if args.network else ""
+    network = _parse_spec("--network", args.network) if args.network else ""
     if network:
         print(f"contended network: {network}")
     try:
@@ -610,7 +571,6 @@ def _report_campaign(report, save: str | None) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from . import bench
-    from .errors import ConfigError
 
     if args.list:
         width = max(len(k) for k in bench.TARGETS)
@@ -619,8 +579,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 0
     jobs = _parse_jobs(args.jobs)
     seed = _parse_seed(args.seed) if args.seed is not None else None
-    fault_spec = _parse_faults(args.faults) if args.faults else ""
-    traffic = _parse_traffic(args.traffic) if args.traffic else ""
+    fault_spec = _parse_spec("--faults", args.faults) if args.faults else ""
+    traffic = _parse_spec("--traffic", args.traffic) if args.traffic else ""
     if args.repeats < 1:
         raise _CliError(f"--repeats: {args.repeats} is not a positive "
                         "repeat count")
@@ -895,8 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from .errors import ConfigError
-
     args = build_parser().parse_args(argv)
     handler = {"list": _cmd_list, "run": _cmd_run, "trace": _cmd_trace,
                "check": _cmd_check, "bench": _cmd_bench,

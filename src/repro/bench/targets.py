@@ -67,9 +67,8 @@ from ..engine.event_queue import EventQueue, ScheduleStrategy
 def _lease_config(num_cores: int, fault_spec: str = "",
                   seed: int | None = None,
                   **lease_kw: Any) -> MachineConfig:
-    cfg = MachineConfig(num_cores=num_cores, fault_spec=fault_spec)
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
+    cfg = MachineConfig(num_cores=num_cores,
+                        fault_spec=fault_spec).with_scenario(seed=seed)
     return replace(cfg, lease=replace(cfg.lease, enabled=True, **lease_kw))
 
 
@@ -119,10 +118,8 @@ def bench_coherence_storm(quick: bool, fault_spec: str = "",
 
     cores = 4 if quick else 8
     rounds = 150 if quick else 300
-    cfg = MachineConfig(num_cores=cores, fault_spec=fault_spec)
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    m = Machine(cfg)
+    m = Machine(MachineConfig(num_cores=cores,
+                              fault_spec=fault_spec).with_scenario(seed=seed))
     addr = m.alloc_var(0, label="storm.line")
 
     def body(ctx):
@@ -192,10 +189,7 @@ def bench_sweep_cell(quick: bool, fault_spec: str = "",
     ops_per_thread = 15 if quick else 40
     common: dict[str, Any] = {"ops_per_thread": ops_per_thread}
     if fault_spec or seed is not None:
-        cfg = replace(MachineConfig(), fault_spec=fault_spec)
-        if seed is not None:
-            cfg = replace(cfg, seed=seed)
-        common["config"] = cfg
+        common["config"] = MachineConfig().with_scenario(seed, fault_spec)
     res = sweep(bench_stack,
                 {"base": {"variant": "base"}, "lease": {"variant": "lease"}},
                 (threads,), **common)
@@ -223,9 +217,8 @@ def bench_sync_ablation(quick: bool, fault_spec: str = "",
 
     threads = 4 if quick else 8
     ops_per_thread = 10 if quick else 25
-    cfg = MachineConfig(num_cores=threads, fault_spec=fault_spec)
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
+    cfg = MachineConfig(num_cores=threads,
+                        fault_spec=fault_spec).with_scenario(seed=seed)
     software = ("cas-backoff", "reciprocating", "mcas-helping")
     total_ops = 0
     extra: dict[str, Any] = {}
@@ -286,8 +279,7 @@ def bench_fault_degradation(quick: bool, fault_spec: str = "",
     base_tput = None
     extra: dict[str, Any] = {}
     for label, spec in grid:
-        m = Machine(replace(_lease_config(threads, seed=seed),
-                            fault_spec=spec))
+        m = Machine(_lease_config(threads, spec, seed))
         stack = TreiberStack(m)
         stack.prefill(range(128))
         for _ in range(threads):
@@ -485,9 +477,7 @@ def bench_cluster_scale(quick: bool, fault_spec: str = "",
     # wall time: a few-millisecond measurement swings past the CI gate's
     # tolerance on a loaded runner, so aim for a few hundred ms total.
     ops_per_thread = 150 if quick else 300
-    cfg = MachineConfig(fault_spec=fault_spec)
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
+    cfg = MachineConfig(fault_spec=fault_spec).with_scenario(seed=seed)
     total_ops = 0
     base_tput = None
     extra: dict[str, Any] = {}
@@ -603,9 +593,8 @@ def _queue_ab_run(heap: bool, cores: int, rounds: int, fault_spec: str,
     ``(wall_seconds, RunResult, events_processed)``."""
     from ..core.isa import Store
 
-    cfg = MachineConfig(num_cores=cores, fault_spec=fault_spec)
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
+    cfg = MachineConfig(num_cores=cores,
+                        fault_spec=fault_spec).with_scenario(seed=seed)
     m = Machine(cfg, schedule_strategy=ScheduleStrategy() if heap else None)
     addr = m.alloc_var(0, label="engine_ab.line")
 
@@ -682,10 +671,8 @@ def _link_sat_run(lease: bool, threads: int, ops_per_thread: int,
                   fault_spec: str, seed: int | None):
     from ..structures import LockedCounter
 
-    cfg = _lease_config(threads, fault_spec, seed)
-    cfg = cfg.with_leases(lease)
-    cfg = replace(cfg, network=replace(cfg.network, spec=_LINK_SAT_SPEC))
-    m = Machine(cfg)
+    m = Machine(_lease_config(threads, fault_spec, seed).with_leases(lease)
+                .with_scenario(network=_LINK_SAT_SPEC))
     counter = LockedCounter(m, lock="tts")
     for _ in range(threads):
         m.add_thread(counter.update_worker, ops_per_thread)

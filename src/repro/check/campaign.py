@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import inspect
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..config import LeaseConfig, MachineConfig
@@ -481,13 +481,6 @@ def _strategy_for(campaign_seed: int, index: int):
     return strategy_for_schedule(campaign_seed, index)
 
 
-def _with_network(cfg: MachineConfig, network: str) -> MachineConfig:
-    """``cfg`` over the ``network`` interconnect spec (empty: unchanged)."""
-    if not network:
-        return cfg
-    return replace(cfg, network=replace(cfg.network, spec=network))
-
-
 def _machine_seed(campaign_seed: int, index: int) -> int:
     return ((campaign_seed * 2_654_435_761 + index * 40_503)
             & 0x7FFFFFFF) or 1
@@ -654,8 +647,8 @@ def run_campaign(target_name: str, *, budget: int = 100, seed: int = 1,
     report = CampaignReport(target=target.name, seed=seed, budget=budget)
     for i in range(budget):
         variant, base_cfg = target.configs[i % len(target.configs)]
-        cfg = _with_network(replace(base_cfg, seed=_machine_seed(seed, i),
-                                    fault_spec=fault_spec), network)
+        cfg = base_cfg.with_scenario(_machine_seed(seed, i), fault_spec,
+                                     network or None)
         out = run_once(target, variant, cfg, _strategy_for(seed, i),
                        traffic=traffic)
         report.schedules_run += 1
@@ -722,10 +715,9 @@ def replay_repro(repro: dict) -> RunOutcome:
     """Re-execute a repro dict (as written by :func:`run_campaign`)
     deterministically and return the outcome of the checks."""
     target = resolve_target(repro["target"])
-    cfg = _with_network(replace(target.config_for(repro["variant"]),
-                                seed=int(repro["machine_seed"]),
-                                fault_spec=repro.get("fault_spec", "")),
-                        repro.get("network", ""))
+    cfg = target.config_for(repro["variant"]).with_scenario(
+        int(repro["machine_seed"]), repro.get("fault_spec", ""),
+        repro.get("network") or None)
     decisions = {int(k): int(v)
                  for k, v in repro.get("decisions", {}).items()}
     return run_once(target, repro["variant"], cfg,

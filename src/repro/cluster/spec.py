@@ -2,8 +2,8 @@
 
 The inter-node network (:mod:`repro.cluster.internode`) is adversarial by
 configuration: every unreliability knob -- link latency, message loss,
-duplication, partitions, clock skew -- comes from one ``;``-separated spec
-string, mirroring the intra-node ``--faults`` grammar::
+duplication, partitions, clock skew -- comes from one spec string in the
+shared clause grammar of :mod:`repro.spec`::
 
     delay:min=60,max=160;loss:p=0.05;dup:p=0.02;partition:p=0.01,len=2000;skew:±40
 
@@ -44,8 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ConfigError
-from ..faults.spec import _parse_int, _parse_params, _parse_prob
+from ..spec import Clause, parse_clauses
 
 __all__ = ["ClusterFaultSpec", "parse_cluster_spec"]
 
@@ -84,67 +83,41 @@ class ClusterFaultSpec:
                 and self.partition_p == 0.0 and self.skew == 0)
 
 
+def _delay(c: Clause, fields: dict) -> None:
+    params = c.params("min", "max", needs="min=<cycles>,max=<cycles>")
+    lo = c.integer("min", params["min"], min_val=1)
+    hi = c.integer("max", params["max"], min_val=1)
+    if hi < lo:
+        raise c.error(f"max={hi} < min={lo}")
+    fields["delay_min"], fields["delay_max"] = lo, hi
+
+
+def _loss_or_dup(c: Clause, fields: dict) -> None:
+    params = c.params("p", needs="p=<prob>")
+    fields[f"{c.name}_p"] = c.prob("p", params["p"])
+
+
+def _partition(c: Clause, fields: dict) -> None:
+    params = c.params("p", "len", optional=("check",),
+                      needs="p=<prob>,len=<cycles>")
+    fields["partition_p"] = c.prob("p", params["p"])
+    fields["partition_len"] = c.integer("len", params["len"], min_val=1)
+    if "check" in params:
+        fields["partition_check"] = c.integer("check", params["check"],
+                                              min_val=1)
+
+
+def _skew(c: Clause, fields: dict) -> None:
+    fields["skew"] = c.bound()
+
+
+_CLAUSES = {"delay": _delay, "loss": _loss_or_dup, "dup": _loss_or_dup,
+            "partition": _partition, "skew": _skew}
+
+
 def parse_cluster_spec(spec: str) -> ClusterFaultSpec:
     """Parse a ``--cluster`` spec string.  An empty/whitespace string
     yields a reliable network with the default latency window."""
     spec = (spec or "").strip()
-    fields: dict = {"raw": spec}
-    seen: set[str] = set()
-    for clause in spec.split(";"):
-        clause = clause.strip()
-        if not clause:
-            continue
-        name, _, body = clause.partition(":")
-        name = name.strip()
-        body = body.strip()
-        if name in seen:
-            raise ConfigError(f"cluster spec: duplicate clause {name!r}")
-        seen.add(name)
-        if name == "delay":
-            params = _parse_params(clause, body, ("min", "max"))
-            if "min" not in params or "max" not in params:
-                raise ConfigError(
-                    f"cluster spec: {clause}: needs min=<cycles>,"
-                    "max=<cycles>")
-            lo = _parse_int(clause, "min", params["min"], min_val=1)
-            hi = _parse_int(clause, "max", params["max"], min_val=1)
-            if hi < lo:
-                raise ConfigError(
-                    f"cluster spec: {clause}: max={hi} < min={lo}")
-            fields["delay_min"], fields["delay_max"] = lo, hi
-        elif name == "loss":
-            params = _parse_params(clause, body, ("p",))
-            if "p" not in params:
-                raise ConfigError(f"cluster spec: {clause}: needs p=<prob>")
-            fields["loss_p"] = _parse_prob(clause, "p", params["p"])
-        elif name == "dup":
-            params = _parse_params(clause, body, ("p",))
-            if "p" not in params:
-                raise ConfigError(f"cluster spec: {clause}: needs p=<prob>")
-            fields["dup_p"] = _parse_prob(clause, "p", params["p"])
-        elif name == "partition":
-            params = _parse_params(clause, body, ("p", "len", "check"))
-            if "p" not in params or "len" not in params:
-                raise ConfigError(
-                    f"cluster spec: {clause}: needs p=<prob>,len=<cycles>")
-            fields["partition_p"] = _parse_prob(clause, "p", params["p"])
-            fields["partition_len"] = _parse_int(
-                clause, "len", params["len"], min_val=1)
-            if "check" in params:
-                fields["partition_check"] = _parse_int(
-                    clause, "check", params["check"], min_val=1)
-        elif name == "skew":
-            value = body
-            if value.lower().startswith("max="):
-                value = value[4:]
-            # accept the spec-string idiom "±40" as well as plain "40"
-            value = value.lstrip("±").lstrip("+").strip()
-            if not value:
-                raise ConfigError(
-                    f"cluster spec: {clause}: needs a skew bound in cycles")
-            fields["skew"] = _parse_int(clause, "skew", value, min_val=0)
-        else:
-            raise ConfigError(
-                f"cluster spec: unknown clause {name!r} (known: delay, "
-                f"loss, dup, partition, skew)")
-    return ClusterFaultSpec(**fields)
+    return ClusterFaultSpec(raw=spec,
+                            **parse_clauses("cluster", spec, _CLAUSES))

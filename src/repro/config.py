@@ -248,3 +248,17 @@ class MachineConfig:
     def with_cores(self, num_cores: int) -> "MachineConfig":
         """Copy of this config with a different core count."""
         return replace(self, num_cores=num_cores)
+
+    def with_scenario(self, seed: int | None = None,
+                      fault_spec: str | None = None,
+                      network: str | None = None) -> "MachineConfig":
+        """Copy of this config reseeded, under a fault spec, or over a
+        network spec (see :mod:`repro.spec`); ``None`` keeps a field."""
+        changes: dict = {}
+        if seed is not None:
+            changes["seed"] = seed
+        if fault_spec is not None:
+            changes["fault_spec"] = fault_spec
+        if network is not None:
+            changes["network"] = replace(self.network, spec=network)
+        return replace(self, **changes) if changes else self

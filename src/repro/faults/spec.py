@@ -1,7 +1,8 @@
 """Fault-spec grammar: parse ``--faults`` strings into a frozen spec.
 
-A spec is a ``;``-separated list of fault clauses, each ``name`` or
-``name:params`` with ``,``-separated parameters::
+A spec is a list of fault clauses in the shared clause grammar of
+:mod:`repro.spec` (``;`` or ``,`` between clauses, ``,`` between
+parameters)::
 
     net_jitter:p=0.01,max=200;dir_nack:p=0.005;timer_skew:±8;slow_core:3@10x
 
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import ConfigError
+from ..spec import Clause, parse_clauses
 
 __all__ = ["FaultSpec", "parse_fault_spec"]
 
@@ -83,72 +84,57 @@ class FaultSpec:
                 and self.link_degrade_p == 0.0)
 
 
-def _parse_prob(clause: str, key: str, value: str) -> float:
-    try:
-        p = float(value)
-    except ValueError:
-        raise ConfigError(
-            f"fault spec: {clause}: {key} must be a float, got {value!r}")
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(
-            f"fault spec: {clause}: {key}={p} out of range [0, 1]")
-    return p
+def _net_jitter(c: Clause, fields: dict) -> None:
+    params = c.params("p", "max", needs="p=<prob>,max=<cycles>")
+    fields["net_jitter_p"] = c.prob("p", params["p"])
+    fields["net_jitter_max"] = c.integer("max", params["max"], min_val=1)
 
 
-def _parse_int(clause: str, key: str, value: str, *, min_val: int = 0) -> int:
-    try:
-        n = int(value)
-    except ValueError:
-        raise ConfigError(
-            f"fault spec: {clause}: {key} must be an int, got {value!r}")
-    if n < min_val:
-        raise ConfigError(
-            f"fault spec: {clause}: {key}={n} must be >= {min_val}")
-    return n
+def _dir_nack(c: Clause, fields: dict) -> None:
+    params = c.params("p", optional=("retries",), needs="p=<prob>")
+    fields["dir_nack_p"] = c.prob("p", params["p"])
+    if "retries" in params:
+        fields["dir_nack_retries"] = c.integer("retries", params["retries"],
+                                               min_val=1)
 
 
-def _parse_params(clause: str, body: str, allowed: tuple[str, ...]) -> dict:
-    params: dict[str, str] = {}
-    for part in body.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ConfigError(
-                f"fault spec: {clause}: expected key=value, got {part!r}")
-        key, _, value = part.partition("=")
-        key = key.strip()
-        if key not in allowed:
-            raise ConfigError(
-                f"fault spec: {clause}: unknown parameter {key!r} "
-                f"(allowed: {', '.join(allowed)})")
-        if key in params:
-            raise ConfigError(f"fault spec: {clause}: duplicate {key!r}")
-        params[key] = value.strip()
-    return params
+def _timer_skew(c: Clause, fields: dict) -> None:
+    fields["timer_skew"] = c.bound()
 
 
-def _parse_slow_cores(clause: str, body: str) -> tuple[tuple[int, int], ...]:
+def _slow_core(c: Clause, fields: dict) -> None:
+    if not c.args:
+        raise c.error("needs <core>@<mult>x entries")
     cores: dict[int, int] = {}
-    for part in body.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in c.args:
         if "@" not in part:
-            raise ConfigError(
-                f"fault spec: {clause}: expected <core>@<mult>x, "
-                f"got {part!r}")
+            raise c.error(f"expected <core>@<mult>x, got {part!r}")
         core_s, _, mult_s = part.partition("@")
-        core = _parse_int(clause, "core", core_s.strip(), min_val=0)
+        core = c.integer("core", core_s.strip())
         mult_s = mult_s.strip()
         if mult_s.lower().endswith("x"):
             mult_s = mult_s[:-1]
-        mult = _parse_int(clause, "multiplier", mult_s, min_val=1)
+        mult = c.integer("multiplier", mult_s, min_val=1)
         if core in cores:
-            raise ConfigError(f"fault spec: {clause}: core {core} "
-                              f"listed twice")
+            raise c.error(f"core {core} listed twice")
         cores[core] = mult
-    return tuple(sorted(cores.items()))
+    fields["slow_cores"] = tuple(sorted(cores.items()))
+
+
+def _link_degrade(c: Clause, fields: dict) -> None:
+    params = c.params("p", optional=("factor", "queue"), needs="p=<prob>")
+    fields["link_degrade_p"] = c.prob("p", params["p"])
+    if "factor" in params:
+        fields["link_degrade_factor"] = c.integer("factor", params["factor"],
+                                                  min_val=2)
+    if "queue" in params:
+        fields["link_degrade_queue"] = c.integer("queue", params["queue"],
+                                                 min_val=1)
+
+
+_CLAUSES = {"net_jitter": _net_jitter, "dir_nack": _dir_nack,
+            "timer_skew": _timer_skew, "slow_core": _slow_core,
+            "link_degrade": _link_degrade}
 
 
 def parse_fault_spec(spec: str) -> FaultSpec:
@@ -156,63 +142,4 @@ def parse_fault_spec(spec: str) -> FaultSpec:
     yields an empty spec (``FaultSpec.empty`` is true -> no plan is
     installed and behaviour is bit-identical to a fault-free build)."""
     spec = (spec or "").strip()
-    fields: dict = {"raw": spec}
-    seen: set[str] = set()
-    for clause in spec.split(";"):
-        clause = clause.strip()
-        if not clause:
-            continue
-        name, _, body = clause.partition(":")
-        name = name.strip()
-        body = body.strip()
-        if name in seen:
-            raise ConfigError(f"fault spec: duplicate clause {name!r}")
-        seen.add(name)
-        if name == "net_jitter":
-            params = _parse_params(clause, body, ("p", "max"))
-            if "p" not in params or "max" not in params:
-                raise ConfigError(
-                    f"fault spec: {clause}: needs p=<prob>,max=<cycles>")
-            fields["net_jitter_p"] = _parse_prob(clause, "p", params["p"])
-            fields["net_jitter_max"] = _parse_int(
-                clause, "max", params["max"], min_val=1)
-        elif name == "dir_nack":
-            params = _parse_params(clause, body, ("p", "retries"))
-            if "p" not in params:
-                raise ConfigError(f"fault spec: {clause}: needs p=<prob>")
-            fields["dir_nack_p"] = _parse_prob(clause, "p", params["p"])
-            if "retries" in params:
-                fields["dir_nack_retries"] = _parse_int(
-                    clause, "retries", params["retries"], min_val=1)
-        elif name == "timer_skew":
-            value = body
-            if value.lower().startswith("max="):
-                value = value[4:]
-            # accept the spec-string idiom "±8" as well as plain "8"
-            value = value.lstrip("±").lstrip("+").strip()
-            if not value:
-                raise ConfigError(
-                    f"fault spec: {clause}: needs a skew bound in cycles")
-            fields["timer_skew"] = _parse_int(clause, "skew", value,
-                                              min_val=0)
-        elif name == "slow_core":
-            if not body:
-                raise ConfigError(
-                    f"fault spec: {clause}: needs <core>@<mult>x entries")
-            fields["slow_cores"] = _parse_slow_cores(clause, body)
-        elif name == "link_degrade":
-            params = _parse_params(clause, body, ("p", "factor", "queue"))
-            if "p" not in params:
-                raise ConfigError(f"fault spec: {clause}: needs p=<prob>")
-            fields["link_degrade_p"] = _parse_prob(clause, "p", params["p"])
-            if "factor" in params:
-                fields["link_degrade_factor"] = _parse_int(
-                    clause, "factor", params["factor"], min_val=2)
-            if "queue" in params:
-                fields["link_degrade_queue"] = _parse_int(
-                    clause, "queue", params["queue"], min_val=1)
-        else:
-            raise ConfigError(
-                f"fault spec: unknown clause {name!r} (known: net_jitter, "
-                f"dir_nack, timer_skew, slow_core, link_degrade)")
-    return FaultSpec(**fields)
+    return FaultSpec(raw=spec, **parse_clauses("fault", spec, _CLAUSES))

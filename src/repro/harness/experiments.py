@@ -9,7 +9,7 @@ target and EXPERIMENTS.md records the measured outcomes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from .. import workloads as w
@@ -43,28 +43,16 @@ def run_experiment(exp_id: str,
                    *, jobs: int = 1, **overrides: Any):
     exp = EXPERIMENTS[exp_id]
     common = {**exp.common, **overrides}
-    # A bare ``seed=N`` override reseeds the whole sweep: it folds into the
-    # machine config every bench builds from, so the CLI's global --seed
-    # reaches Simulator(seed=...) without each bench knowing about it.
-    seed = common.pop("seed", None)
-    if seed is not None:
+    # ``seed=N``, ``faults=SPEC`` and ``network=SPEC`` overrides fold into
+    # the machine config every bench builds from, so the CLI's flags reach
+    # each sweep cell without each bench knowing about them.  The config
+    # carries them as plain values, so they survive pickling to --jobs
+    # workers.
+    seed, faults, network = (common.pop(key, None)
+                             for key in ("seed", "faults", "network"))
+    if (seed, faults, network) != (None, None, None):
         base = common.get("config") or MachineConfig()
-        common["config"] = replace(base, seed=seed)
-    # A ``faults=SPEC`` override folds in the same way: the spec string
-    # rides inside the (picklable) config, so it reaches every sweep cell
-    # identically whether cells run serially or on --jobs workers.
-    faults = common.pop("faults", None)
-    if faults is not None:
-        base = common.get("config") or MachineConfig()
-        common["config"] = replace(base, fault_spec=faults)
-    # A ``network=SPEC`` override swaps in the contended interconnect
-    # (repro.coherence.links); the raw spec string rides inside the nested
-    # NetworkConfig so it, too, survives pickling to --jobs workers.
-    network = common.pop("network", None)
-    if network is not None:
-        base = common.get("config") or MachineConfig()
-        common["config"] = replace(
-            base, network=replace(base.network, spec=network))
+        common["config"] = base.with_scenario(seed, faults, network)
     return sweep(exp.bench, exp.variants, thread_counts, jobs=jobs,
                  **common)
 

@@ -1,16 +1,13 @@
 """Traffic-spec grammar: parse ``--traffic`` strings into a frozen spec.
 
 A spec is one arrival clause plus optional key-distribution, tenancy,
-queue, volume, and SLO clauses.  Clauses may be separated by ``;`` or
-``,`` -- the YCSB-style one-liner from the roadmap parses as written::
+queue, volume, and SLO clauses, in the shared clause grammar of
+:mod:`repro.spec` -- the YCSB-style one-liner from the roadmap parses as
+written::
 
     poisson:rate=2.0,zipf:s=1.2,tenants=2
     burst:rate=4,on=3000,off=9000;hotset:frac=0.9,size=8,shift=64;queue=8
     ramp:rate=1.5,period=40000;slo:p99=2500,shed=0.01
-
-Tokens therefore bind to the nearest clause on their left: ``rate=2.0``
-belongs to ``poisson``, ``s=1.2`` to ``zipf``.  A token whose head names
-a clause starts that clause.
 
 Clauses
 -------
@@ -59,12 +56,10 @@ out-of-range values raise :class:`~repro.errors.ConfigError` so a typo'd
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from ..errors import ConfigError
-from ..faults.spec import _parse_int as _fault_parse_int
-from ..faults.spec import _parse_prob as _fault_parse_prob
+from ..spec import Clause, parse_clauses
 
 __all__ = ["TrafficSpec", "parse_traffic_spec"]
 
@@ -73,11 +68,6 @@ DEFAULT_QUEUE_DEPTH = 16
 
 #: Default hot-set slide interval (draws between shifts).
 DEFAULT_HOTSET_SHIFT = 256
-
-_ARRIVALS = ("poisson", "burst", "ramp")
-_KEYS = ("uniform", "zipf", "hotset")
-_SCALARS = ("tenants", "queue", "ops")
-_CLAUSES = _ARRIVALS + _KEYS + _SCALARS + ("slo",)
 
 
 @dataclass(frozen=True)
@@ -115,76 +105,75 @@ class TrafficSpec:
                 or self.slo_shed is not None)
 
 
-def _parse_int(clause: str, key: str, value: str, *, min_val: int = 0) -> int:
-    # The fault-spec helpers carry the wrong family name in their error
-    # prefix; re-raise with ours so a typo'd --traffic never reports
-    # itself as a fault-spec problem.
-    try:
-        return _fault_parse_int(clause, key, value, min_val=min_val)
-    except ConfigError as err:
-        raise ConfigError(str(err).replace("fault spec:", "traffic spec:", 1))
+def _arrival(c: Clause, fields: dict) -> None:
+    if "arrival" in fields:
+        raise c.error(
+            f"second arrival clause (already have {fields['arrival']!r})")
+    extra = {"poisson": (), "burst": ("on", "off"),
+             "ramp": ("period",)}[c.name]
+    params = c.params("rate", *extra, needs=",".join(
+        ("rate=<ops/kcycle>",) + tuple(f"{k}=<cycles>" for k in extra)))
+    fields["arrival"] = c.name
+    fields["rate"] = c.real("rate", params["rate"], strict=True)
+    if c.name == "burst":
+        fields["on_cycles"] = c.integer("on", params["on"], min_val=1)
+        fields["off_cycles"] = c.integer("off", params["off"], min_val=1)
+    elif c.name == "ramp":
+        fields["period"] = c.integer("period", params["period"], min_val=2)
 
 
-def _parse_prob(clause: str, key: str, value: str) -> float:
-    try:
-        return _fault_parse_prob(clause, key, value)
-    except ConfigError as err:
-        raise ConfigError(str(err).replace("fault spec:", "traffic spec:", 1))
+def _keys(c: Clause, fields: dict) -> None:
+    if "keys" in fields:
+        raise c.error(
+            f"second key clause (already have {fields['keys']!r})")
+    fields["keys"] = c.name
+    if c.name == "uniform":
+        c.params()
+    elif c.name == "zipf":
+        params = c.params("s", needs="s=<exponent>")
+        fields["zipf_s"] = c.real("s", params["s"])
+    else:  # hotset
+        params = c.params("frac", "size", optional=("shift",),
+                          needs="frac=<prob>,size=<keys>")
+        fields["hot_frac"] = c.prob("frac", params["frac"])
+        fields["hot_size"] = c.integer("size", params["size"], min_val=1)
+        if "shift" in params:
+            fields["hot_shift"] = c.integer("shift", params["shift"],
+                                            min_val=1)
 
 
-def _parse_rate(clause: str, value: str) -> float:
-    try:
-        r = float(value)
-    except ValueError:
-        raise ConfigError(
-            f"traffic spec: {clause}: rate must be a float, got {value!r}")
-    if r <= 0.0:
-        raise ConfigError(
-            f"traffic spec: {clause}: rate={r} must be > 0 (ops/kcycle)")
-    return r
+def _scalar(c: Clause, fields: dict) -> None:
+    # One integer, spelled tenants=2, tenants:2 or queue:depth=8.
+    value = None
+    if len(c.args) == 1:
+        key, eq, val = c.args[0].partition("=")
+        if not eq:
+            value = key
+        elif key.strip() in (c.name, "depth" if c.name == "queue" else c.name):
+            value = val
+    if value is None:
+        raise c.error(f"expected {c.name}=<int>")
+    field_name = "queue_depth" if c.name == "queue" else c.name
+    fields[field_name] = c.integer(c.name, value.strip(), min_val=1)
 
 
-def _params(clause: str, parts: list[str],
-            allowed: tuple[str, ...]) -> dict[str, str]:
-    params: dict[str, str] = {}
-    for part in parts:
-        if "=" not in part:
-            raise ConfigError(
-                f"traffic spec: {clause}: expected key=value, got {part!r}")
-        key, _, value = part.partition("=")
-        key = key.strip()
-        if key not in allowed:
-            raise ConfigError(
-                f"traffic spec: {clause}: unknown parameter {key!r} "
-                f"(allowed: {', '.join(allowed) or 'none'})")
-        if key in params:
-            raise ConfigError(f"traffic spec: {clause}: duplicate {key!r}")
-        params[key] = value.strip()
-    return params
+def _slo(c: Clause, fields: dict) -> None:
+    params = c.params(optional=("p99", "p999", "shed"),
+                      needs="at least one of p99=<cycles>, p999=<cycles>, "
+                            "shed=<frac>")
+    if "p99" in params:
+        fields["slo_p99"] = c.integer("p99", params["p99"], min_val=1)
+    if "p999" in params:
+        fields["slo_p999"] = c.integer("p999", params["p999"], min_val=1)
+    if "shed" in params:
+        fields["slo_shed"] = c.prob("shed", params["shed"])
 
 
-def _group_clauses(spec: str) -> list[tuple[str, str, list[str]]]:
-    """Split a spec into ``(name, head_token, param_tokens)`` groups.
-
-    Both ``;`` and ``,`` separate tokens; a token starts a new clause
-    when its head (text before ``:`` or ``=``) names one, otherwise it
-    is a parameter of the clause to its left.
-    """
-    groups: list[tuple[str, str, list[str]]] = []
-    for token in re.split(r"[;,]", spec):
-        token = token.strip()
-        if not token:
-            continue
-        head = re.split(r"[:=]", token, maxsplit=1)[0].strip()
-        if head in _CLAUSES:
-            groups.append((head, token, []))
-        elif groups:
-            groups[-1][2].append(token)
-        else:
-            raise ConfigError(
-                f"traffic spec: unknown clause {head!r} "
-                f"(known: {', '.join(_CLAUSES)})")
-    return groups
+_ARRIVALS = ("poisson", "burst", "ramp")
+_CLAUSES = {**dict.fromkeys(_ARRIVALS, _arrival),
+            **dict.fromkeys(("uniform", "zipf", "hotset"), _keys),
+            **dict.fromkeys(("tenants", "queue", "ops"), _scalar),
+            "slo": _slo}
 
 
 def parse_traffic_spec(spec: str) -> TrafficSpec:
@@ -192,125 +181,9 @@ def parse_traffic_spec(spec: str) -> TrafficSpec:
     yields an empty spec (``TrafficSpec.empty`` is true -> drivers run
     their usual closed loop, bit-identical to a traffic-free build)."""
     spec = (spec or "").strip()
-    fields: dict = {"raw": spec}
-    seen_arrival = seen_keys = False
-    seen: set[str] = set()
-    for name, head_token, extra in _group_clauses(spec):
-        # Canonical clause text for error messages.
-        clause = head_token if not extra else f"{head_token},{','.join(extra)}"
-        if name in seen:
-            raise ConfigError(f"traffic spec: duplicate clause {name!r}")
-        seen.add(name)
-        # Split the head token into its own leading parameter (if any).
-        _, colon, body = head_token.partition(":")
-        body = body.strip()
-        parts = ([body] if body else []) + extra
-        if name in _ARRIVALS:
-            if seen_arrival:
-                raise ConfigError(
-                    f"traffic spec: {clause}: second arrival clause "
-                    f"(already have {fields['arrival']!r})")
-            seen_arrival = True
-            fields["arrival"] = name
-            if name == "poisson":
-                params = _params(clause, parts, ("rate",))
-                if "rate" not in params:
-                    raise ConfigError(
-                        f"traffic spec: {clause}: needs rate=<ops/kcycle>")
-                fields["rate"] = _parse_rate(clause, params["rate"])
-            elif name == "burst":
-                params = _params(clause, parts, ("rate", "on", "off"))
-                if not {"rate", "on", "off"} <= params.keys():
-                    raise ConfigError(
-                        f"traffic spec: {clause}: needs rate=<ops/kcycle>,"
-                        "on=<cycles>,off=<cycles>")
-                fields["rate"] = _parse_rate(clause, params["rate"])
-                fields["on_cycles"] = _parse_int(
-                    clause, "on", params["on"], min_val=1)
-                fields["off_cycles"] = _parse_int(
-                    clause, "off", params["off"], min_val=1)
-            else:  # ramp
-                params = _params(clause, parts, ("rate", "period"))
-                if not {"rate", "period"} <= params.keys():
-                    raise ConfigError(
-                        f"traffic spec: {clause}: needs rate=<ops/kcycle>,"
-                        "period=<cycles>")
-                fields["rate"] = _parse_rate(clause, params["rate"])
-                fields["period"] = _parse_int(
-                    clause, "period", params["period"], min_val=2)
-        elif name in _KEYS:
-            if seen_keys:
-                raise ConfigError(
-                    f"traffic spec: {clause}: second key clause "
-                    f"(already have {fields['keys']!r})")
-            seen_keys = True
-            fields["keys"] = name
-            if name == "uniform":
-                _params(clause, parts, ())
-            elif name == "zipf":
-                params = _params(clause, parts, ("s",))
-                if "s" not in params:
-                    raise ConfigError(
-                        f"traffic spec: {clause}: needs s=<exponent>")
-                try:
-                    s = float(params["s"])
-                except ValueError:
-                    raise ConfigError(
-                        f"traffic spec: {clause}: s must be a float, "
-                        f"got {params['s']!r}")
-                if s < 0:
-                    raise ConfigError(
-                        f"traffic spec: {clause}: s={s} must be >= 0")
-                fields["zipf_s"] = s
-            else:  # hotset
-                params = _params(clause, parts, ("frac", "size", "shift"))
-                if not {"frac", "size"} <= params.keys():
-                    raise ConfigError(
-                        f"traffic spec: {clause}: needs frac=<prob>,"
-                        "size=<keys>")
-                fields["hot_frac"] = _parse_prob(clause, "frac",
-                                                 params["frac"])
-                fields["hot_size"] = _parse_int(
-                    clause, "size", params["size"], min_val=1)
-                if "shift" in params:
-                    fields["hot_shift"] = _parse_int(
-                        clause, "shift", params["shift"], min_val=1)
-        elif name in _SCALARS:
-            # Accept both tenants=2 and tenants:2 / queue:depth=8.
-            if not colon and "=" in head_token:
-                parts = [head_token]
-            value: str | None = None
-            if len(parts) == 1 and "=" in parts[0]:
-                key, _, val = parts[0].partition("=")
-                key = key.strip()
-                if key in (name, "depth" if name == "queue" else name):
-                    value = val.strip()
-            if value is None and len(parts) == 1 and "=" not in parts[0]:
-                value = parts[0]
-            if value is None:
-                raise ConfigError(
-                    f"traffic spec: {clause}: expected {name}=<int>")
-            field_name = {"tenants": "tenants", "queue": "queue_depth",
-                          "ops": "ops"}[name]
-            fields[field_name] = _parse_int(
-                clause, name, value, min_val=1)
-        else:  # slo
-            params = _params(clause, parts, ("p99", "p999", "shed"))
-            if not params:
-                raise ConfigError(
-                    f"traffic spec: {clause}: needs at least one of "
-                    "p99=<cycles>, p999=<cycles>, shed=<frac>")
-            if "p99" in params:
-                fields["slo_p99"] = _parse_int(
-                    clause, "p99", params["p99"], min_val=1)
-            if "p999" in params:
-                fields["slo_p999"] = _parse_int(
-                    clause, "p999", params["p999"], min_val=1)
-            if "shed" in params:
-                fields["slo_shed"] = _parse_prob(
-                    clause, "shed", params["shed"])
-    if spec and not seen_arrival:
+    fields = parse_clauses("traffic", spec, _CLAUSES)
+    if spec and "arrival" not in fields:
         raise ConfigError(
             "traffic spec: needs an arrival clause "
             f"({', '.join(_ARRIVALS)})")
-    return TrafficSpec(**fields)
+    return TrafficSpec(raw=spec, **fields)

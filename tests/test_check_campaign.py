@@ -272,7 +272,7 @@ def _run_recorded(monkeypatch, name, strategy, *, fast):
 
     monkeypatch.setattr(campaign, "Machine", Recorded)
     target = resolve_target(name)
-    cfg = campaign._with_network(target.config_for("lease"), LINK_SPEC)
+    cfg = target.config_for("lease").with_scenario(network=LINK_SPEC)
     kind, seed = strategy
     make = RandomStrategy if kind == "random" else PctStrategy
     out = run_once(target, "lease", cfg, make(seed))

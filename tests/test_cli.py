@@ -364,6 +364,15 @@ def test_check_replay_rejects_faults_flag(tmp_path, capsys):
     assert "recorded in the repro file" in capsys.readouterr().err
 
 
+def test_run_rejects_non_finite_traffic_rate(capsys):
+    assert main(["run", "counter", "--threads", "2",
+                 "--traffic", "poisson:rate=nan"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("--traffic: traffic spec: poisson:rate=nan:")
+    assert "Traceback" not in err
+
+
 # -- check --network ----------------------------------------------------------
 
 def test_check_with_network_passes_and_announces(capsys):
@@ -515,3 +524,30 @@ def test_bench_seed_recorded(tmp_path, capsys):
 def test_bench_rejects_bad_seed(capsys):
     assert main(["bench", "event_queue", "--seed", "-3"]) == 2
     assert "--seed:" in capsys.readouterr().err
+
+
+#: Every subcommand's option strings; adding or dropping a flag is an
+#: interface change, not a refactor.
+OPTION_STRINGS = {
+    "list": {"-h", "--help"},
+    "config": {"-h", "--help"},
+    "run": {"-h", "--help", "--threads", "--metric", "--jobs", "--save",
+            "--invariants", "--seed", "--faults", "--network", "--traffic",
+            "--nodes", "--checkpoint-every", "--checkpoint-dir", "--resume",
+            "--warm-start"},
+    "trace": {"-h", "--help", "--threads", "--out", "--limit", "--heatmap",
+              "--invariants", "--seed", "--faults", "--network"},
+    "check": {"-h", "--help", "--list-targets", "--budget", "--seed",
+              "--no-shrink", "--save", "--faults", "--traffic", "--network",
+              "--nodes", "--cluster", "--quorum", "--structure"},
+    "bench": {"-h", "--help", "--list", "--quick", "--seed", "--jobs",
+              "--repeats", "--profile", "--baseline", "--tolerance",
+              "--out-dir", "--write-baseline", "--faults", "--traffic"},
+}
+
+
+def test_subcommand_option_strings_are_stable():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    assert {name: {o for a in p._actions for o in a.option_strings}
+            for name, p in sub.choices.items()} == OPTION_STRINGS

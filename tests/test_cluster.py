@@ -48,13 +48,16 @@ def test_parse_cluster_spec_empty_means_reliable():
     assert spec.partition_p == 0.0 and spec.skew == 0
 
 
-@pytest.mark.parametrize("bad", [
+CLUSTER_REJECTS = [
     "bogus:x=1",
     "loss:p=1.5",
     "loss:p=0.1;loss:p=0.2",
     "partition:p=0.1",          # missing len
     "delay:min=100,max=50",     # inverted range
-])
+]
+
+
+@pytest.mark.parametrize("bad", CLUSTER_REJECTS)
 def test_parse_cluster_spec_rejects(bad):
     with pytest.raises(ConfigError):
         parse_cluster_spec(bad)

@@ -99,6 +99,19 @@ class TestDerived:
     def test_with_cores(self):
         assert MachineConfig().with_cores(32).num_cores == 32
 
+    def test_with_scenario_sets_only_its_own_fields(self):
+        cfg = MachineConfig(num_cores=4, seed=3)
+        assert cfg.with_scenario() == cfg
+        assert cfg.with_scenario(seed=9) == dataclasses.replace(cfg, seed=9)
+        assert cfg.with_scenario(fault_spec="dir_nack:p=0.1") == \
+            dataclasses.replace(cfg, fault_spec="dir_nack:p=0.1")
+        assert cfg.with_scenario(network="link:bw=2") == dataclasses.replace(
+            cfg, network=dataclasses.replace(cfg.network, spec="link:bw=2"))
+        both = cfg.with_scenario(seed=9, network="link:bw=2")
+        assert both == cfg.with_scenario(seed=9).with_scenario(
+            network="link:bw=2")
+        assert both.fault_spec == cfg.fault_spec
+
     def test_config_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             MachineConfig().num_cores = 2

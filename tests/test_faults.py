@@ -55,7 +55,7 @@ def test_slow_core_multiple_entries_sorted():
     assert s.slow_cores == ((1, 4), (5, 2))
 
 
-@pytest.mark.parametrize("bad,msg", [
+FAULT_REJECTS = [
     ("nope:p=1", "unknown clause"),
     ("net_jitter:p=0.5", "needs p=<prob>,max=<cycles>"),
     ("net_jitter:p=2,max=10", "out of range"),
@@ -70,7 +70,10 @@ def test_slow_core_multiple_entries_sorted():
     ("slow_core:3", "expected <core>@<mult>x"),
     ("slow_core:3@0x", "must be >= 1"),
     ("slow_core:3@2x,3@4x", "listed twice"),
-])
+]
+
+
+@pytest.mark.parametrize("bad,msg", FAULT_REJECTS)
 def test_parse_rejects_malformed_specs(bad, msg):
     with pytest.raises(ConfigError, match=msg):
         parse_fault_spec(bad)

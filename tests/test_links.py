@@ -71,7 +71,7 @@ def test_partial_specs():
     assert parse_network_spec("arb:priority;link:bw=2").arbiter == "priority"
 
 
-@pytest.mark.parametrize("bad,msg", [
+NETWORK_REJECTS = [
     ("bogus:bw=1", "unknown clause"),
     ("link:", "needs bw="),
     ("link:bw=0", "must be >= 1"),
@@ -84,7 +84,10 @@ def test_partial_specs():
     ("arb:wrr,weights=2:0", "must be >= 1"),
     ("port:", "needs dir=<cycles> and/or"),
     ("port:queue=0", "must be >= 1"),
-])
+]
+
+
+@pytest.mark.parametrize("bad,msg", NETWORK_REJECTS)
 def test_parse_rejects_malformed_specs(bad, msg):
     with pytest.raises(ConfigError, match=msg):
         parse_network_spec(bad)

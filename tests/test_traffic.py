@@ -29,6 +29,36 @@ from repro.workloads.driver import bench_counter
 # Spec grammar
 # ---------------------------------------------------------------------------
 
+TRAFFIC_REJECTS = [
+    ("bogus:rate=1", "unknown clause"),
+    ("poisson:rate=1,poisson:rate=2", "duplicate clause"),
+    ("poisson:rate=1,burst:rate=2,on=10,off=10", "second arrival"),
+    ("poisson:rate=1,zipf:s=1,uniform", "second key clause"),
+    ("poisson", "needs rate"),
+    ("poisson:rate=0", "must be > 0"),
+    ("poisson:rate=abc", "must be a float"),
+    ("burst:rate=1,on=10", "needs rate"),
+    ("ramp:rate=1", "needs rate"),
+    ("zipf:s=1.2", "needs an arrival clause"),
+    ("poisson:rate=1,zipf", "needs s="),
+    ("poisson:rate=1,zipf:s=-1", "must be >= 0"),
+    ("poisson:rate=1,hotset:frac=0.5", "needs frac"),
+    ("poisson:rate=1,hotset:frac=2,size=4", "frac"),
+    ("poisson:rate=1,slo", "needs at least one"),
+    ("poisson:rate=1,slo:p99=0", "p99"),
+    ("poisson:rate=1,tenants=0", "tenants"),
+    ("poisson:rate=1,queue=x", "queue"),
+    ("poisson:rate=1,rate=9", "duplicate"),
+    ("poisson:rate=1,frob=2", "unknown parameter"),
+    ("poisson:rate=nan", "must be finite"),
+    ("poisson:rate=inf", "must be finite"),
+    ("burst:rate=nan,on=10,off=10", "must be finite"),
+    ("poisson:rate=1,zipf:s=nan", "must be finite"),
+    ("poisson:rate=1,zipf:s=inf", "must be finite"),
+    ("poisson:rate=1,tenants=2,frob", "expected tenants=<int>"),
+]
+
+
 class TestSpecParse:
     def test_empty_spec_is_empty(self):
         spec = parse_traffic_spec("")
@@ -63,28 +93,7 @@ class TestSpecParse:
         spec = parse_traffic_spec("poisson:rate=1,hotset:frac=0.5,size=4")
         assert spec.hot_shift == DEFAULT_HOTSET_SHIFT
 
-    @pytest.mark.parametrize("bad, msg", [
-        ("bogus:rate=1", "unknown clause"),
-        ("poisson:rate=1,poisson:rate=2", "duplicate clause"),
-        ("poisson:rate=1,burst:rate=2,on=10,off=10", "second arrival"),
-        ("poisson:rate=1,zipf:s=1,uniform", "second key clause"),
-        ("poisson", "needs rate"),
-        ("poisson:rate=0", "must be > 0"),
-        ("poisson:rate=abc", "must be a float"),
-        ("burst:rate=1,on=10", "needs rate"),
-        ("ramp:rate=1", "needs rate"),
-        ("zipf:s=1.2", "needs an arrival clause"),
-        ("poisson:rate=1,zipf", "needs s="),
-        ("poisson:rate=1,zipf:s=-1", "must be >= 0"),
-        ("poisson:rate=1,hotset:frac=0.5", "needs frac"),
-        ("poisson:rate=1,hotset:frac=2,size=4", "frac"),
-        ("poisson:rate=1,slo", "needs at least one"),
-        ("poisson:rate=1,slo:p99=0", "p99"),
-        ("poisson:rate=1,tenants=0", "tenants"),
-        ("poisson:rate=1,queue=x", "queue"),
-        ("poisson:rate=1,rate=9", "duplicate"),
-        ("poisson:rate=1,frob=2", "unknown parameter"),
-    ])
+    @pytest.mark.parametrize("bad, msg", TRAFFIC_REJECTS)
     def test_rejects(self, bad, msg):
         with pytest.raises(ConfigError, match="traffic spec:") as exc:
             parse_traffic_spec(bad)
